@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 from repro import env as repro_env
 from repro.core.filterkernel import FILTER_KERNEL_ENV, resolve_filter_kernel
-from repro.storage.bufferpool import POOL_POLICIES
 from repro.uncertainty.montecarlo import AppearanceEstimator
 
 __all__ = ["ExecConfig"]
 
 _PARTITIONER_NAMES = ("str", "hash")
 _EXECUTOR_NAMES = ("thread", "process")
-_POOL_POLICY_NAMES = POOL_POLICIES
 _ON_FAULT_NAMES = ("fail", "degrade")
 
 
@@ -66,22 +64,14 @@ class ExecConfig:
         dedupe_pages: fetch each candidate data page once per batch.
         io_latency_seconds: simulated per-page latency for the parallel
             fetch thread.
-        pool_capacity: buffer-pool frames (0 = paper-exact uncached I/O).
-        pool_policy: buffer-pool replacement policy, ``"lru"``, ``"2q"``
-            (default) or ``"arc"`` (adaptive, with ghost lists).
-            Environment default via ``REPRO_POOL_POLICY``.
-        pool_probation: 2Q probation-FIFO frames; ``None`` keeps the
-            built-in ``max(1, capacity // 8)``.  Ignored by the other
-            policies.  Environment default via ``REPRO_POOL_PROBATION``.
+        pool_capacity: frames of the ARC buffer pool
+            (:class:`~repro.storage.bufferpool.BufferPool`); 0 (the
+            default) builds no pool — paper-exact uncached I/O.
         probe_bound: let the shard router stop probing once the
             cost-ordered cheapest shards provably satisfy the query
             (Observation-4 residual-probability bound for ranges,
             running best-worst distance bound for NN).  Answers are
             identical either way; only probe counts change.
-        auto_tune: drive each :meth:`Database.run` batch through the
-            workload-aware :class:`~repro.exec.tuner.AutoTuner`, which
-            converges on method / kernel / executor / parallelism
-            choices from observed throughput.  Requires ``batched``.
         wal: durable storage mode.  :meth:`Database.save` writes an
             incremental directory archive (per-method / per-shard
             members, clean ones skipped) instead of one monolithic
@@ -147,8 +137,6 @@ class ExecConfig:
             ``(seed, oid)``, so equal configs give bit-identical answers.
         auto_observe: let the planner recalibrate its packing constant
             from executed workloads.
-        full_scale: run experiments at the paper's full parameters
-            (the ``REPRO_FULL_SCALE`` switch).
     """
 
     filter_kernel: str | bool | None = None
@@ -162,10 +150,7 @@ class ExecConfig:
     dedupe_pages: bool = True
     io_latency_seconds: float = 0.0
     pool_capacity: int = 0
-    pool_policy: str = "2q"
-    pool_probation: int | None = None
     probe_bound: bool = True
-    auto_tune: bool = False
     wal: bool = False
     reclaim: bool = False
     on_fault: str = "fail"
@@ -180,7 +165,6 @@ class ExecConfig:
     mc_samples: int = 10_000
     seed: int = 0
     auto_observe: bool = True
-    full_scale: bool = False
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -211,18 +195,6 @@ class ExecConfig:
             raise ValueError("io_latency_seconds must be non-negative")
         if self.pool_capacity < 0:
             raise ValueError("pool_capacity must be non-negative")
-        if self.pool_policy not in _POOL_POLICY_NAMES:
-            raise ValueError(
-                f"unknown pool_policy {self.pool_policy!r}; "
-                f"pick one of {_POOL_POLICY_NAMES}"
-            )
-        if self.pool_probation is not None and self.pool_probation < 0:
-            raise ValueError("pool_probation must be non-negative")
-        if self.auto_tune and not self.batched:
-            raise ValueError(
-                "auto_tune=True requires batched=True (the tuner observes "
-                "batch throughput)"
-            )
         if self.on_fault not in _ON_FAULT_NAMES:
             raise ValueError(
                 f"unknown on_fault {self.on_fault!r}; "
@@ -270,17 +242,9 @@ class ExecConfig:
         executor = repro_env.env_value("REPRO_EXECUTOR")
         if executor is not None and executor.strip():
             fields["executor"] = executor.strip().lower()
-        policy = repro_env.env_value("REPRO_POOL_POLICY")
-        if policy is not None and policy.strip():
-            fields["pool_policy"] = policy.strip().lower()
-        probation = repro_env.env_value("REPRO_POOL_PROBATION")
-        if probation is not None and probation.strip():
-            fields["pool_probation"] = int(probation)
         bound = repro_env.env_value("REPRO_PROBE_BOUND")
         if bound is not None and bound.strip():
             fields["probe_bound"] = repro_env.env_flag("REPRO_PROBE_BOUND")
-        if repro_env.env_flag("REPRO_AUTO_TUNE"):
-            fields["auto_tune"] = True
         if repro_env.env_flag("REPRO_WAL"):
             fields["wal"] = True
         if repro_env.env_flag("REPRO_RECLAIM"):
@@ -308,7 +272,6 @@ class ExecConfig:
         window = repro_env.env_value("REPRO_BATCH_WINDOW_MS")
         if window is not None and window.strip():
             fields["batch_window_ms"] = float(window)
-        fields["full_scale"] = repro_env.env_flag("REPRO_FULL_SCALE")
         fields.update(overrides)
         return cls(**fields)
 

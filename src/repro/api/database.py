@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -53,7 +52,6 @@ from repro.exec.planner import (
 from repro.exec.refine import RefinementEngine
 from repro.exec.resilience import BatchSupervisor
 from repro.exec.shard import ShardedAccessMethod
-from repro.exec.tuner import AutoTuner, TunerDecision
 from repro.storage.bufferpool import BufferPool
 from repro.storage.wal import WriteAheadLog
 from repro.uncertainty.objects import UncertainObject
@@ -69,8 +67,8 @@ def _parse_method_name(name: str) -> tuple[str, str | None]:
 
     The optional ``@mono``/``@sharded`` suffix pins the layout of one
     method regardless of ``config.shards`` — how a database registers
-    both variants of the same structure side by side, so the planner and
-    the auto-tuner can arbitrate between them at query time.
+    both variants of the same structure side by side, so the planner can
+    arbitrate between them at query time.
     """
     base, sep, variant = name.partition("@")
     if not sep:
@@ -158,11 +156,6 @@ def _structures(method) -> list:
     return [method]
 
 
-def _kernel_built(method) -> bool:
-    """Whether the method carries a columnar sidecar (toggleable or not)."""
-    return any(getattr(s, "kernel", None) is not None for s in _structures(method))
-
-
 def _kernel_enabled(method) -> bool:
     """Whether the (possibly sharded) method classifies via the kernel."""
     return any(
@@ -237,10 +230,7 @@ class Explanation:
     batch_queries: int = 1
     serial_fallback_threshold: int = SERIAL_FALLBACK_SAMPLE_OPS
     serial_fallback: bool = False
-    pool_policy: str = "2q"
     pool_capacity: int = 0
-    # The auto-tuner's full report (None when auto_tune is off).
-    tuner: dict | None = None
     # Resilience posture: how a fault mid-batch would be handled.  With
     # on_fault="degrade", degradation_ladder lists the backend fallback
     # chain the batch would descend (most capable first, exact serial
@@ -282,19 +272,7 @@ class Explanation:
                 f"(threshold {self.serial_fallback_threshold} sample-ops)"
             )
         if self.pool_capacity:
-            lines.append(
-                f"  buffer pool: {self.pool_policy}, "
-                f"{self.pool_capacity} frames"
-            )
-        if self.tuner is not None:
-            state = "converged" if self.tuner.get("converged") else "exploring"
-            knobs = ", ".join(
-                f"{k}={v!r}" for k, v in self.tuner.get("incumbent", {}).items()
-            )
-            lines.append(
-                f"  auto-tuner: {state} after "
-                f"{self.tuner.get('observations', 0)} batches ({knobs})"
-            )
+            lines.append(f"  buffer pool: arc, {self.pool_capacity} frames")
         if self.on_fault != "fail" or self.checksum:
             ladder = " -> ".join(self.degradation_ladder) or "none"
             lines.append(
@@ -406,19 +384,16 @@ class Database:
         self.last_recovery: dict | None = None
         self.planner = planner if planner is not None else self._build_planner()
         # Keyed by (method name, executor backend, parallelism, kernel
-        # on/off): per-call overrides and the tuner's decisions select
-        # among cached executors instead of rebuilding them per batch,
-        # and the kernel state in the key keeps forked process pools
-        # from serving a batch under a kernel setting they never saw.
+        # on/off): per-call overrides select among cached executors
+        # instead of rebuilding them per batch, and the kernel state in
+        # the key keeps forked process pools from serving a batch under
+        # a kernel setting they never saw.
         # The lock makes the cache (and close()) safe against a run()
         # in flight on another thread — the query service's shutdown
         # path closes the database while batches may still be draining.
         self._exec_lock = threading.RLock()
         self._batch_executors: dict[tuple, BatchExecutor] = {}
         self._query_executors: dict[str, QueryExecutor] = {}
-        self.tuner: AutoTuner | None = (
-            self._build_tuner() if config.auto_tune else None
-        )
         # Resilience wiring is applied here — the one funnel every
         # construction path (create / from_methods / open) goes through.
         for method in self._methods.values():
@@ -483,21 +458,13 @@ class Database:
                     page_size=config.page_size,
                     estimator=estimator,
                     pool_capacity=config.pool_capacity,
-                    pool_policy=config.pool_policy,
-                    pool_probation=config.pool_probation,
                     prune=config.prune,
                     probe_bound=config.probe_bound,
                     filter_kernel=config.filter_kernel,
                 )
             else:
                 pool = (
-                    BufferPool(
-                        config.pool_capacity,
-                        policy=config.pool_policy,
-                        probation_capacity=config.pool_probation,
-                    )
-                    if config.pool_capacity
-                    else None
+                    BufferPool(config.pool_capacity) if config.pool_capacity else None
                 )
                 method = _build_monolithic(base, dim, cat, config, estimator, pool)
                 for obj in objects:
@@ -603,41 +570,6 @@ class Database:
         for method in self._methods.values():
             if isinstance(method, ShardedAccessMethod):
                 method.refresh_router()
-
-    # ------------------------------------------------------------------
-    # auto-tuner wiring
-    # ------------------------------------------------------------------
-    def _build_tuner(self) -> AutoTuner:
-        """The knob space the tuner searches, derived from what exists.
-
-        Knobs with only one viable value never register (AutoTuner drops
-        them): a single-method database has no method knob, a database
-        built without sidecars has no kernel knob, and a platform
-        without ``fork`` offers no process backend.
-        """
-        import multiprocessing
-
-        knobs: dict[str, list] = {}
-        baseline: dict[str, object] = {}
-        if len(self._methods) > 1:
-            knobs["method"] = list(self._methods)
-            baseline["method"] = next(iter(self._methods))
-        if any(_kernel_built(m) for m in self._methods.values()):
-            knobs["filter_kernel"] = [True, False]
-            baseline["filter_kernel"] = _kernel_enabled(
-                next(iter(self._methods.values()))
-            )
-        executors = ["thread"]
-        if "fork" in multiprocessing.get_all_start_methods():
-            executors.append("process")
-        knobs["executor"] = executors
-        baseline["executor"] = self.config.executor
-        knobs["parallelism"] = sorted({1, 2, self.config.parallelism})
-        baseline["parallelism"] = self.config.parallelism
-        # Two trials per value before convergence: qps feedback is
-        # wall-clock, so a single sample can rank statistically-equal
-        # values (e.g. mono vs sharded on a small workload) arbitrarily.
-        return AutoTuner(knobs, baseline=baseline, min_trials=2)
 
     # ------------------------------------------------------------------
     # introspection
@@ -832,6 +764,9 @@ class Database:
             records = sorted(_live_records(old), key=lambda r: r.oid)
             objects = [old.data_file.peek(r.address) for r in records]
             kernel_on = _kernel_enabled(old)
+            # Rebuild the sidecars whenever the old shards carried them,
+            # toggled off or not, so a later override can switch them on.
+            kernel_built = any(shard.kernel is not None for shard in old.shards)
             rebuilt = ShardedAccessMethod.build(
                 objects,
                 shards=old.shard_count,
@@ -842,11 +777,9 @@ class Database:
                 page_size=old.data_file.page_size,
                 estimator=old.estimator,
                 pool_capacity=self.config.pool_capacity,
-                pool_policy=self.config.pool_policy,
-                pool_probation=self.config.pool_probation,
                 prune=old.prune,
                 probe_bound=old.probe_bound,
-                filter_kernel="on" if _kernel_built(old) else "off",
+                filter_kernel="on" if kernel_built else "off",
             )
             _set_kernel(rebuilt, kernel_on)
             rebuilt.data_file.reclaim = self.config.reclaim
@@ -1131,11 +1064,7 @@ class Database:
         ``parallelism``/``executor``/``filter_kernel`` override the
         config for this batch only (answers never change — these are
         pure cost knobs); the kernel toggle is sticky on the structures
-        until the next override.  Under ``config.auto_tune`` a batch
-        with no explicit overrides is driven by the
-        :class:`~repro.exec.tuner.AutoTuner` instead: it proposes the
-        knob assignment, the batch executes under it, and the measured
-        throughput feeds back into the tuner's estimates.
+        until the next override.
         """
         specs = list(specs)
         for spec in specs:
@@ -1156,34 +1085,11 @@ class Database:
                 "per-batch parallelism/executor overrides need batched=True"
             )
 
-        # Tuner-driven batches: only when the caller pinned nothing (an
-        # explicit override is the caller measuring, not the tuner).
-        range_pin = method
-        proposal: TunerDecision | None = None
-        has_ranges = any(isinstance(s, RangeSpec) for s in specs)
-        if (
-            self.tuner is not None
-            and has_ranges
-            and method is None
-            and parallelism is None
-            and executor is None
-            and filter_kernel is None
-        ):
-            proposal = self.tuner.propose()
-            range_pin = proposal.assignment.get("method")
-            parallelism = proposal.assignment.get("parallelism")
-            executor = proposal.assignment.get("executor")
-            filter_kernel = proposal.assignment.get("filter_kernel")
         if filter_kernel is not None:
             for m in self._methods.values():
                 _set_kernel(m, filter_kernel)
 
-        decisions = [
-            self._choose(
-                spec, method if isinstance(spec, NearestSpec) else range_pin
-            )
-            for spec in specs
-        ]
+        decisions = [self._choose(spec, method) for spec in specs]
         choices = [choice for choice, _ in decisions]
         out = RunResult()
         slots: list[Result | None] = [None] * len(specs)
@@ -1198,16 +1104,8 @@ class Database:
             else:
                 slots[i] = self._run_nearest(spec, choices[i])
 
-        range_count = 0
-        executors_before = len(self._batch_executors)
-        # Throughput windows run on the tuner's clock so tests can make
-        # qps observations deterministic (a fake clock replaces
-        # wall-time noise); without a tuner nothing observes the window.
-        clock = self.tuner.clock if self.tuner is not None else time.perf_counter
-        range_start = clock()
         for name, indices in grouped.items():
             queries = [specs[i].to_query() for i in indices]
-            range_count += len(queries)
             if self.config.batched:
                 batch = self._run_range_batch(
                     name, queries, executor=executor, parallelism=parallelism
@@ -1226,23 +1124,6 @@ class Database:
                     object_ids=answer.object_ids,
                     stats=answer.stats,
                 )
-        if proposal is not None and range_count:
-            # A batch that had to build its executor ran cold (fresh
-            # thread/process pool, empty P_app memo) — feeding that wall
-            # time to the tuner would systematically punish explored
-            # alternatives, whose executor keys are new by construction,
-            # against always-warm incumbents.  Skip the observation; the
-            # tuner re-proposes the still-undersampled value and the next
-            # batch measures it warm.
-            warmed = len(self._batch_executors) == executors_before
-            # A degraded batch executed on some fallback backend, not the
-            # proposed assignment — crediting its throughput would teach
-            # the tuner about a configuration that never ran.
-            degraded = any(b.degraded for b in out.batches.values())
-            if warmed and not degraded:
-                range_wall = clock() - range_start
-                self.tuner.observe(proposal, range_count / max(range_wall, 1e-9))
-
         out.results = [slot for slot in slots if slot is not None]
         for result in out.results:
             out.workload.add(result.stats)
@@ -1339,9 +1220,7 @@ class Database:
         ``batch_size`` is the hypothetical batch the spec would ship in:
         it drives the PR 6 serial-fallback prediction (a parallel
         executor runs small zero-latency batches serially), reported in
-        ``serial_fallback``/``serial_fallback_threshold``.  With
-        ``auto_tune`` on, ``tuner`` carries the tuner's live report —
-        every knob's throughput estimate and the chosen incumbents.
+        ``serial_fallback``/``serial_fallback_threshold``.
         """
         if not isinstance(spec, RangeSpec):
             raise TypeError(
@@ -1400,9 +1279,7 @@ class Database:
             batch_queries=batch_size,
             serial_fallback_threshold=SERIAL_FALLBACK_SAMPLE_OPS,
             serial_fallback=fallback,
-            pool_policy=self.config.pool_policy,
             pool_capacity=self.config.pool_capacity,
-            tuner=self.tuner.report() if self.tuner is not None else None,
             on_fault=self.config.on_fault,
             worker_timeout=self.config.worker_timeout,
             max_retries=self.config.max_retries,
@@ -1432,28 +1309,22 @@ class Database:
                     name: np.asarray(_method_catalog(m).values).tolist()
                     for name, m in self._methods.items()
                 },
-                # Learnt adaptive state rides along so a reopened
-                # database plans (and tunes) from where this one left
-                # off instead of re-learning from scratch.
+                # Learnt planner state rides along so a reopened
+                # database plans from where this one left off instead of
+                # re-learning from scratch.
                 "planner": self.planner.state_dict(),
-                "tuner": (
-                    self.tuner.state_dict() if self.tuner is not None else None
-                ),
             },
             sort_keys=True,
         )
 
     @staticmethod
     def _restore_learned(db: "Database", meta: dict | None) -> None:
-        """Reload archived planner/tuner state into a reopened database."""
+        """Reload archived planner state into a reopened database."""
         if not meta:
             return
         planner_state = meta.get("planner")
         if planner_state:
             db.planner.load_state(planner_state)
-        tuner_state = meta.get("tuner")
-        if tuner_state and db.tuner is not None:
-            db.tuner.load_state(tuner_state)
 
     def save(self, path):
         """Persist the database.
@@ -1694,15 +1565,7 @@ class Database:
             config = ExecConfig.from_json(json.dumps(meta["config"]))
         if config is None:
             config = ExecConfig()
-        pool = (
-            BufferPool(
-                config.pool_capacity,
-                policy=config.pool_policy,
-                probation_capacity=config.pool_probation,
-            )
-            if config.pool_capacity
-            else None
-        )
+        pool = BufferPool(config.pool_capacity) if config.pool_capacity else None
         tree = load_utree(
             path,
             estimator=config.estimator(),

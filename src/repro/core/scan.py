@@ -127,8 +127,9 @@ class SequentialScan:
             self.io.record_read(result.node_accesses)
         else:
             # A full scan touches every summary page exactly once, so it
-            # declares itself sequential: the pool admits these frames to
-            # its probation queue instead of flooding the main LRU.
+            # declares itself sequential: the ARC pool's scan-length
+            # calibration keeps an over-long scan from growing its
+            # recency target at the hot working set's expense.
             for page_id in range(result.node_accesses):
                 charge_page_read(
                     self.io, self.pool, self._summary_file_id, page_id,

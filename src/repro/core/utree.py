@@ -138,9 +138,10 @@ class UTree:
             if resolve_filter_kernel(filter_kernel)
             else None
         )
-        # Runtime toggle (the auto-tuner flips it between batches): the
-        # kernel sidecar is always *fed* on insert so toggling is safe,
-        # but queries consult it only while use_kernel holds.
+        # Runtime toggle (Database.run's filter_kernel override flips it
+        # between batches): the kernel sidecar is always *fed* on insert
+        # so toggling is safe, but queries consult it only while
+        # use_kernel holds.
         self.use_kernel = True
 
     # ------------------------------------------------------------------

@@ -36,11 +36,8 @@ KNOWN_ENV_KEYS: dict[str, str] = {
     "REPRO_FILTER_KERNEL": "vectorized filter kernel on/off (ExecConfig.filter_kernel)",
     "REPRO_SHARD_PARALLELISM": "executor thread-pool width (ExecConfig.parallelism)",
     "REPRO_EXECUTOR": "batch backend thread|process (ExecConfig.executor)",
-    "REPRO_FULL_SCALE": "paper-scale experiment parameters (ExecConfig.full_scale)",
-    "REPRO_POOL_POLICY": "buffer-pool replacement lru|2q|arc (ExecConfig.pool_policy)",
-    "REPRO_POOL_PROBATION": "2Q probation FIFO frames (ExecConfig.pool_probation)",
+    "REPRO_FULL_SCALE": "paper-scale experiment parameters (experiments.config.active_scale)",
     "REPRO_PROBE_BOUND": "latency-bounded shard probing on/off (ExecConfig.probe_bound)",
-    "REPRO_AUTO_TUNE": "workload-aware auto-tuner on/off (ExecConfig.auto_tune)",
     "REPRO_WAL": "write-ahead-logged durable saves on/off (ExecConfig.wal)",
     "REPRO_RECLAIM": "data-file free-slot reuse on/off (ExecConfig.reclaim)",
     "REPRO_ON_FAULT": "fault handling fail|degrade (ExecConfig.on_fault)",
@@ -58,7 +55,6 @@ KNOWN_ENV_KEYS: dict[str, str] = {
     "REPRO_SHARD_ARTIFACT": "shard-scaling benchmark artifact path",
     "REPRO_FILTER_ARTIFACT": "filter-kernel benchmark artifact path",
     "REPRO_MULTICORE_ARTIFACT": "multicore benchmark artifact path",
-    "REPRO_AUTOTUNE_ARTIFACT": "autotune benchmark artifact path",
     "REPRO_STORAGE_ARTIFACT": "storage-engine benchmark artifact path",
     "REPRO_RESILIENCE_ARTIFACT": "resilience benchmark artifact path",
     "REPRO_SERVE_ARTIFACT": "query-service load-harness artifact path",

@@ -63,7 +63,6 @@ from repro.exec.planner import (
     derive_data_records_per_page,
 )
 from repro.exec.refine import RefinementEngine, refine_with_engine
-from repro.exec.tuner import AutoTuner, TunerDecision
 from repro.exec.shard import (
     PARTITIONERS,
     ShardRouter,
@@ -74,7 +73,6 @@ from repro.exec.shard import (
 
 __all__ = [
     "AccessMethod",
-    "AutoTuner",
     "BatchExecutor",
     "BatchResult",
     "BatchStats",
@@ -93,7 +91,6 @@ __all__ = [
     "SERIAL_FALLBACK_SAMPLE_OPS",
     "ScanCostModel",
     "TransientIOError",
-    "TunerDecision",
     "WorkerError",
     "WorkerTimeout",
     "ShardRouter",

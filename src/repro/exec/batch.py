@@ -15,8 +15,10 @@ phase first, fetches each candidate data page once for the entire batch
 (skipping pages whose every candidate is already memoised), then refines
 per query through the :class:`~repro.exec.refine.RefinementEngine`
 (shared sample clouds, stacked mask evaluation) with a memo keyed on
-``(disk address, query_rect)`` — addresses are append-only, so a reused
-object id can never be served a stale probability.  The Monte-Carlo
+``(disk address, query_rect)``.  A reused object id lands at a fresh
+address, and under ``reclaim`` a freed address's entries are dropped
+before the next batch (its slot may now hold another record), so no
+query is ever served a stale probability.  The Monte-Carlo
 estimator derives its sample stream from ``(seed, object_id)``, so
 memoised and engine-computed values are bit-identical to freshly
 recomputed ones — batching changes cost, never answers.
@@ -124,12 +126,10 @@ class BatchStats:
     physical_writes: int = 0
     cache_hits: int = 0
     # Buffer-pool accounting across every pool the method touches (node
-    # stores plus data files, all shards).  ``pool_ghost_hits`` is
-    # nonzero only under the ARC policy: misses whose identity a ghost
-    # list still remembered.  Under the process backend the workers'
-    # forked pool copies do the filtering, so the parent-side deltas
-    # reported here stay near zero.
-    pool_policy: str = ""
+    # stores plus data files, all shards).  ``pool_ghost_hits`` counts
+    # misses whose identity an ARC ghost list still remembered.  Under
+    # the process backend the workers' forked pool copies do the
+    # filtering, so the parent-side deltas reported here stay near zero.
     pool_hits: int = 0
     pool_misses: int = 0
     pool_ghost_hits: int = 0
@@ -219,8 +219,8 @@ class BatchStats:
             ["pages saved", self.data_pages_saved],
             ["physical reads", self.physical_reads],
             ["cache hits", self.cache_hits],
-            ["pool policy / hit rate",
-             f"{self.pool_policy or 'none'} / {100 * self.pool_hit_rate:.1f}%"
+            ["pool hit rate",
+             f"{100 * self.pool_hit_rate:.1f}%"
              + (f" ({self.pool_ghost_hits} ghost hits)"
                 if self.pool_ghost_hits else "")],
             ["P_app computed", self.prob_computations],
@@ -268,7 +268,8 @@ class BatchExecutor:
         method: the structure to execute against.
         memoize: share appearance-probability results across queries keyed
             on ``(disk_address, query_rect)``.  The memo persists across
-            :meth:`run` calls until :meth:`clear_memo`.
+            :meth:`run` calls until :meth:`clear_memo`; entries of
+            addresses the data file released in between are dropped.
         dedupe_pages: fetch each candidate data page once per batch rather
             than once per query.
         engine: refinement engine to use; defaults to one bound to the
@@ -320,11 +321,29 @@ class BatchExecutor:
             else int(serial_fallback_threshold)
         )
         self._prob_memo: dict[tuple[DiskAddress, Rect], float] = {}
+        self._memo_releases = method.data_file.released_slots
         self._pools = pools_of(method)
 
     def clear_memo(self) -> None:
         """Drop memoised appearance probabilities."""
         self._prob_memo.clear()
+
+    def _drop_released(self) -> None:
+        """Forget memo entries of slots released since the last batch.
+
+        Under ``reclaim`` a moved object may reuse its old slot, and its
+        old probabilities must not answer for it.  The release count
+        never moves with ``reclaim`` off, so this is one comparison there.
+        """
+        data_file = self.method.data_file
+        released = data_file.released_slots
+        if released == self._memo_releases:
+            return
+        freed = data_file.released_since(self._memo_releases)
+        self._memo_releases = released
+        for key in list(self._prob_memo):
+            if key[0] in freed:
+                self._prob_memo.pop(key, None)
 
     @property
     def memo_size(self) -> int:
@@ -419,6 +438,7 @@ class BatchExecutor:
 
     def run(self, queries: Sequence[ProbRangeQuery]) -> BatchResult:
         """Execute the whole workload, amortising page fetches and P_app."""
+        self._drop_released()
         if self.parallelism == 1:
             return self._run_serial(queries)
         if self._below_fallback_threshold(queries):
@@ -789,6 +809,4 @@ class BatchExecutor:
         result.batch.pool_hits = pool1[0] - pool_baseline[0]
         result.batch.pool_misses = pool1[1] - pool_baseline[1]
         result.batch.pool_ghost_hits = pool1[2] - pool_baseline[2]
-        if self._pools:
-            result.batch.pool_policy = self._pools[0].policy
         result.batch.wall_seconds = time.perf_counter() - start

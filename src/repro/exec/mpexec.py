@@ -387,11 +387,15 @@ class ProcessBatchExecutor(BatchExecutor):
 
     # -- pool lifecycle -------------------------------------------------
     def _state_snapshot(self) -> tuple:
-        """What a fork bakes in: method size and data-file extent.
+        """What a fork bakes in: method size, data-file extent and the
+        data file's lifetime release count.
 
         Any change means the workers' inherited copies are stale — the
         parent is the only writer, so comparing this snapshot before
-        each batch is enough to know when to re-fork.
+        each batch is enough to know when to re-fork.  Under ``reclaim``
+        a delete + insert can leave size and extent as they were (the
+        insert reuses the freed slot); the release count still moves,
+        so the workers re-fork with fresh trees and empty memos.
         """
         method = self.method
         data_file = method.data_file
@@ -399,7 +403,12 @@ class ProcessBatchExecutor(BatchExecutor):
             size = len(method)
         except TypeError:
             size = -1
-        return (size, data_file.page_count, data_file.record_count)
+        return (
+            size,
+            data_file.page_count,
+            data_file.record_count,
+            data_file.released_slots,
+        )
 
     def _share_hot_state(self) -> SharedArena:
         """Move the numeric hot state into shared mappings, pre-fork."""
@@ -870,8 +879,6 @@ class ProcessBatchExecutor(BatchExecutor):
         batch.cache_hits = sum(s.cache_hits for _, s, _, _ in per_query)
         batch.fault_retries = self._run_retries
         batch.worker_respawns = self._run_respawns
-        if self._pools:
-            batch.pool_policy = self._pools[0].policy
         batch.wall_seconds = time.perf_counter() - start
 
     def __repr__(self) -> str:

@@ -273,10 +273,12 @@ def refine_with_engine(
     ``results`` in page order.  ``stats`` additionally receives
     sample-cache hit/miss deltas and fetch/refine wall-clock.
 
-    The memo is keyed on ``(DiskAddress, rect)``: the data file is
-    append-only, so an address permanently identifies one object version
-    — a reused *oid* (delete + re-insert) lands at a fresh address and
-    can never be served a stale probability.  Address keys are also known
+    The memo is keyed on ``(DiskAddress, rect)``: a reused *oid*
+    (delete + re-insert) lands at a fresh address, and when ``reclaim``
+    lets it land on its old slot instead, the owning executor has
+    already dropped that address's entries (see
+    :meth:`~repro.exec.batch.BatchExecutor.run`), so no pair is ever
+    served a stale probability.  Address keys are also known
     before any I/O, so a page whose candidates are all memoized is not
     fetched at all (its logical charge stands; the physical read is
     skipped).  Returns the number of pages actually fetched here.

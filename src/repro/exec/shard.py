@@ -404,8 +404,6 @@ class ShardedAccessMethod:
         page_size: int = 4096,
         estimator: AppearanceEstimator | None = None,
         pool_capacity: int = 0,
-        pool_policy: str = "2q",
-        pool_probation: int | None = None,
         prune: bool = True,
         probe_bound: bool = True,
         **method_kwargs,
@@ -447,10 +445,7 @@ class ShardedAccessMethod:
             # smaller than the slice count, trailing slices come out
             # capacity-0, and it is the one file every query's
             # refinement reads that must not silently lose its cache.
-            pools = BufferPool.partition(
-                pool_capacity, shards + 1,
-                policy=pool_policy, probation_capacity=pool_probation,
-            )
+            pools = BufferPool.partition(pool_capacity, shards + 1)
         else:
             pools = [None] * (shards + 1)
         data_file = DataFile(IOCounter(), page_size, pool=pools[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from repro.env import env_flag
 
-__all__ = ["Scale", "DEFAULT_SCALE", "FULL_SCALE", "BENCH_SCALE", "active_scale", "scale_for"]
+__all__ = ["Scale", "DEFAULT_SCALE", "FULL_SCALE", "BENCH_SCALE", "active_scale"]
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,10 @@ BENCH_SCALE = Scale(
 )
 
 
-def scale_for(config) -> Scale:
-    """The scale an :class:`repro.api.ExecConfig` selects."""
-    return FULL_SCALE if getattr(config, "full_scale", False) else DEFAULT_SCALE
-
-
 def active_scale() -> Scale:
     """The scale selected by the environment (default unless full-scale).
 
-    Resolved through :mod:`repro.env` — the same switch
-    :meth:`repro.api.ExecConfig.from_env` exposes as ``full_scale``.
+    Resolved through :mod:`repro.env`: ``REPRO_FULL_SCALE=1`` selects
+    :data:`FULL_SCALE`.
     """
     return FULL_SCALE if env_flag("REPRO_FULL_SCALE") else DEFAULT_SCALE

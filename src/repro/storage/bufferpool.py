@@ -1,12 +1,11 @@
-"""A policy-selectable buffer pool between the access methods and the disk.
+"""An adaptive (ARC) buffer pool between the access methods and the disk.
 
 The paper charges every page access to the (simulated) disk, which is the
 right accounting for its single-query experiments.  A serving system runs
 *workloads*, and workloads have locality: consecutive queries revisit the
 same index nodes and data pages.  The :class:`BufferPool` models the
 memory layer that exploits that locality — a fixed-capacity cache of
-``(file, page)`` frames with hit/miss accounting and a selectable
-replacement policy.
+``(file, page)`` frames with hit/miss accounting.
 
 Accounting contract (relied on by the experiment harness and tests):
 
@@ -16,61 +15,33 @@ Accounting contract (relied on by the experiment harness and tests):
   :class:`repro.storage.pager.IOCounter.reads`;
 * with ``capacity=0`` the pool never retains a frame, so every logical
   read is physical and all counters reproduce the uncached (paper) numbers
-  exactly — **under every policy**.
+  exactly.
 
-Three policies:
+Replacement is the Adaptive Replacement Cache of Megiddo & Modha.  Four
+lists: ``T1`` (seen once, recency) and ``T2`` (seen twice+, frequency)
+hold the at-most-``capacity`` resident frames; ghost lists ``B1``/``B2``
+remember the *identities* of recently evicted T1/T2 frames (bounded so
+``|T1|+|B1| <= capacity`` and the four lists together hold at most
+``2*capacity`` entries).  A hit in a ghost list is a miss that LRU
+*would have served* with a different recency/frequency split, so it
+moves the adaptive target ``p`` (the size T1 aspires to): a B1 hit
+grows ``p`` by ``max(1, |B2|/|B1|)``, a B2 hit shrinks it by
+``max(1, |B1|/|B2|)``.  Eviction (``REPLACE``) takes T1's LRU frame
+into B1 while ``|T1| > p`` (or ``== p`` on a B2 ghost hit), else T2's
+LRU frame into B2.  A one-pass scan therefore only ever cycles T1: the
+frames a workload touched twice sit in T2 and survive it.  Because
+ghosts persist for up to ``capacity`` further misses, the *second* pass
+of a repeated scan promotes its pages to T2 and the third pass hits.
 
-``"lru"``
-    Plain LRU over ``capacity`` frames.  The ``sequential`` hint is
-    ignored; a flat scan floods the cache.  The baseline the other two
-    are measured against.
-
-``"2q"`` (default)
-    Scan-resistant 2Q-style admission.  A flat sequential scan touches
-    every summary page exactly once per query; admitting those frames
-    into the main LRU evicts the genuinely hot working set without ever
-    producing a hit ("the scan floods the cache").  Readers that know
-    they are scanning pass ``sequential=True``: those misses are
-    admitted into a small *probation* FIFO instead of the main LRU.  A
-    probationary frame promotes to the main LRU on its next access
-    (from any reader), so pages that repeated scans actually revisit
-    still earn residency — but a one-pass scan can displace at most the
-    probation queue, never the main frames.  The probation queue holds
-    ``probation_capacity`` frames (default ``max(1, capacity // 8)``)
-    *in addition* to ``capacity`` main frames (zero when
-    ``capacity == 0``, preserving the uncached contract).
-
-    The known weakness: a scan *longer* than the probation queue cycles
-    the FIFO, so even a workload that repeats the identical scan every
-    round never earns residency for it — repeated scans get ~zero hits
-    once the scan length exceeds ``capacity // 8``.
-
-``"arc"``
-    Adaptive Replacement Cache (Megiddo & Modha) over the same
-    ``sequential`` hint.  Four lists: ``T1`` (seen once, recency) and
-    ``T2`` (seen twice+, frequency) hold the at-most-``capacity``
-    resident frames; ghost lists ``B1``/``B2`` remember the *identities*
-    of recently evicted T1/T2 frames (bounded so
-    ``|T1|+|B1| <= capacity`` and the four lists together hold at most
-    ``2*capacity`` entries).  A hit in a ghost list is a miss that LRU
-    *would have served* with a different recency/frequency split, so it
-    moves the adaptive target ``p`` (the size T1 aspires to): a B1 hit
-    grows ``p`` by ``max(1, |B2|/|B1|)``, a B2 hit shrinks it by
-    ``max(1, |B1|/|B2|)``.  Eviction (``REPLACE``) takes T1's LRU frame
-    into B1 while ``|T1| > p`` (or ``== p`` on a B2 ghost hit), else
-    T2's LRU frame into B2.  Because ghosts persist for up to
-    ``capacity`` further misses, the *second* pass of a repeated scan
-    promotes its pages to T2 and the third pass hits — exactly the
-    workload 2Q's short FIFO gives up on.
-
-    **Scan-length calibration.**  The pool tracks an EWMA of observed
-    sequential run lengths (consecutive ``sequential=True`` accesses).
-    Ghosts of sequential frames are tagged; when the calibrated scan
-    length exceeds ``capacity`` — no target split could ever cache the
-    scan — hits on those tagged ghosts do *not* inflate ``p``, so an
-    over-long looping scan cannot steal target share from the hot
-    random-access working set.  (The ghost hit itself is still
-    counted/promoted; only the target adaptation is suppressed.)
+**Scan-length calibration.**  Readers that know they are scanning pass
+``sequential=True``.  The pool tracks an EWMA of observed sequential
+run lengths (consecutive ``sequential=True`` accesses).  Ghosts of
+sequential frames are tagged; when the calibrated scan length exceeds
+``capacity`` — no target split could ever cache the scan — hits on
+those tagged ghosts do *not* inflate ``p``, so an over-long looping scan
+cannot steal target share from the hot random-access working set.  (The
+ghost hit itself is still counted/promoted; only the target adaptation
+is suppressed.)
 
 Pages in this simulator are live Python objects, so the pool caches only
 *identities*; hits skip the I/O charge, nothing else.  Writes are
@@ -88,14 +59,10 @@ from collections import OrderedDict
 
 __all__ = [
     "BufferPool",
-    "POOL_POLICIES",
     "charge_page_read",
     "pool_counters",
     "pools_of",
 ]
-
-POOL_POLICIES = ("lru", "2q", "arc")
-
 
 def charge_page_read(
     io,
@@ -109,8 +76,8 @@ def charge_page_read(
 
     The single place that encodes the accounting contract: a pool hit
     costs a cache hit, anything else a physical read.  ``sequential``
-    marks scan-shaped accesses for the pool's non-polluting admission
-    path.  Returns True on a pool hit.
+    marks scan-shaped accesses for the pool's scan-length calibration.
+    Returns True on a pool hit.
     """
     if pool is not None and pool.access(file_id, page_id, sequential=sequential):
         io.record_cache_hit()
@@ -157,73 +124,40 @@ def pool_counters(pools) -> tuple[int, int, int]:
 
 
 class BufferPool:
-    """A shared cache of ``(file_id, page_id)`` frames.
+    """A shared ARC cache of ``(file_id, page_id)`` frames.
 
     One pool may back several page files (an index's node store plus its
     data file, or several trees in a batch harness); each backing file
     registers itself to obtain a distinct ``file_id`` namespace.
 
     Args:
-        capacity: maximum number of resident frames held (main frames
-            for ``lru``/``2q``; ``|T1|+|T2|`` for ``arc``).  ``0``
-            disables caching (every access is a miss and nothing is
-            retained), reproducing uncached I/O accounting exactly.
-        probation_capacity: size of the 2Q sequential-admission FIFO.
-            Defaults to ``max(1, capacity // 8)`` (``0`` when the pool
-            is disabled).  Ignored by the ``lru`` and ``arc`` policies.
-        policy: ``"lru"``, ``"2q"`` (default) or ``"arc"``.
+        capacity: maximum number of resident frames (``|T1|+|T2|``).
+            ``0`` disables caching (every access is a miss and nothing
+            is retained), reproducing uncached I/O accounting exactly.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        probation_capacity: int | None = None,
-        policy: str = "2q",
-    ):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if policy not in POOL_POLICIES:
-            raise ValueError(
-                f"unknown pool policy {policy!r}; choose one of {POOL_POLICIES}"
-            )
         self.capacity = int(capacity)
-        self.policy = policy
-        if probation_capacity is None:
-            probation_capacity = max(1, self.capacity // 8) if self.capacity else 0
-        if probation_capacity < 0:
-            raise ValueError("probation_capacity must be non-negative")
-        if self.policy != "2q" or not self.capacity:
-            probation_capacity = 0
-        self.probation_capacity = int(probation_capacity)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.ghost_hits = 0
-        # lru/2q state
-        self._frames: OrderedDict[tuple[int, int], None] = OrderedDict()
-        self._probation: OrderedDict[tuple[int, int], None] = OrderedDict()
-        # arc state: values in _t1/_b1/_b2 are the frame's sequential tag
+        # values in the four lists are the frame's sequential tag
         self._t1: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self._t2: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self._b1: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self._b2: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self._target = 0.0  # ARC's p: the size T1 aspires to
-        # scan-length calibration (all policies observe, ARC consumes)
+        # scan-length calibration
         self._scan_run = 0
         self.scan_length_ewma = 0.0
         self._next_file_id = 0
         self._lock = threading.RLock()
 
     @classmethod
-    def partition(
-        cls,
-        capacity: int,
-        shards: int,
-        *,
-        probation_capacity: int | None = None,
-        policy: str = "2q",
-    ) -> "list[BufferPool]":
+    def partition(cls, capacity: int, shards: int) -> "list[BufferPool]":
         """Slice one frame budget into ``shards`` independent pools.
 
         A sharded access method gives each shard its own pool so one
@@ -238,9 +172,6 @@ class BufferPool:
         across the groups instead of piling onto the first one.  A
         ``capacity`` of 0 yields all-disabled pools, keeping the
         uncached accounting contract shard by shard.
-
-        ``policy`` and ``probation_capacity`` pass through to every
-        slice.
 
         A *nonzero* budget smaller than ``shards`` cannot give every
         slice a frame: the short slices — including the trailing one —
@@ -272,10 +203,7 @@ class BufferPool:
                 UserWarning,
                 stacklevel=2,
             )
-        return [
-            cls(c, probation_capacity=probation_capacity, policy=policy)
-            for c in caps
-        ]
+        return [cls(c) for c in caps]
 
     # ------------------------------------------------------------------
     # registration
@@ -293,42 +221,55 @@ class BufferPool:
     def access(self, file_id: int, page_id: int, *, sequential: bool = False) -> bool:
         """Request one page; returns True on a hit, False on a miss.
 
-        Under ``lru``/``2q`` a miss loads the frame into the main LRU
-        (evicting its least-recently-used frame if full).  A ``2q``
-        ``sequential`` miss is allowed a main slot only while main has
-        *spare* capacity — a scan may use idle memory (so repeated scans
-        over an under-committed pool still hit, as under plain LRU) but
-        never evicts a resident frame; once main is full, sequential
-        misses go to the probation FIFO.  A hit refreshes recency; a
-        probationary hit additionally promotes the frame into the main
-        LRU.  Under ``arc`` the four-list protocol applies (see the
-        module docstring).
+        A T1 hit promotes the frame to T2, a T2 hit refreshes its
+        recency, a ghost hit adapts the target and re-admits the frame
+        to T2, and a cold miss loads it into T1 (see the module
+        docstring).  ``sequential`` feeds the scan-length calibration.
         """
         key = (file_id, page_id)
         with self._lock:
             self._observe_sequential(sequential)
-            if self.policy == "arc":
-                return self._arc_access(key, sequential)
-            if key in self._frames:
-                self._frames.move_to_end(key)
+            if self.capacity == 0:
+                self.misses += 1
+                return False
+            if key in self._t1:
+                del self._t1[key]
+                self._t2[key] = sequential
                 self.hits += 1
                 return True
-            if key in self._probation:
-                # Re-referenced within its probation window: the frame has
-                # proven reuse, so it earns a main-LRU slot.
-                del self._probation[key]
+            if key in self._t2:
+                self._t2.move_to_end(key)
+                self._t2[key] = sequential
                 self.hits += 1
-                self._load(key)
                 return True
+            if key in self._b1:
+                # Ghost hit on the recency side: LRU-with-larger-T1 would
+                # have kept this frame, so grow the target — unless the
+                # ghost came from a scan no feasible target could cache.
+                self.ghost_hits += 1
+                self.misses += 1
+                ghost_sequential = self._b1.pop(key)
+                if not (ghost_sequential and self._scan_uncacheable()):
+                    delta = max(1.0, len(self._b2) / max(1, len(self._b1) + 1))
+                    self._target = min(float(self.capacity), self._target + delta)
+                self._replace(ghost_in_b2=False)
+                self._t2[key] = sequential
+                return False
+            if key in self._b2:
+                # Ghost hit on the frequency side: shrink the target.
+                self.ghost_hits += 1
+                self.misses += 1
+                ghost_sequential = self._b2.pop(key)
+                if not (ghost_sequential and self._scan_uncacheable()):
+                    delta = max(1.0, len(self._b1) / max(1, len(self._b2) + 1))
+                    self._target = max(0.0, self._target - delta)
+                self._replace(ghost_in_b2=True)
+                self._t2[key] = sequential
+                return False
+            # Cold miss.
             self.misses += 1
-            if (
-                self.policy == "2q"
-                and sequential
-                and len(self._frames) >= self.capacity
-            ):
-                self._load_probation(key)
-            else:
-                self._load(key)
+            self._make_room()
+            self._t1[key] = sequential
             return False
 
     def admit(self, file_id: int, page_id: int) -> None:
@@ -339,21 +280,23 @@ class BufferPool:
         """
         key = (file_id, page_id)
         with self._lock:
-            if self.policy == "arc":
-                self._arc_admit(key)
+            if self.capacity == 0:
                 return
-            if key in self._frames:
-                self._frames.move_to_end(key)
+            if key in self._t1:
+                del self._t1[key]
+                self._t2[key] = False
+            elif key in self._t2:
+                self._t2.move_to_end(key)
             else:
-                self._probation.pop(key, None)
-                self._load(key)
+                self._b1.pop(key, None)
+                self._b2.pop(key, None)
+                self._make_room()
+                self._t1[key] = False
 
     def invalidate(self, file_id: int, page_id: int) -> None:
         """Drop a frame (page freed/deallocated); no-op when absent."""
         key = (file_id, page_id)
         with self._lock:
-            self._frames.pop(key, None)
-            self._probation.pop(key, None)
             self._t1.pop(key, None)
             self._t2.pop(key, None)
             self._b1.pop(key, None)
@@ -362,8 +305,6 @@ class BufferPool:
     def clear(self) -> None:
         """Drop every frame and ghost (counters and calibration kept)."""
         with self._lock:
-            self._frames.clear()
-            self._probation.clear()
             self._t1.clear()
             self._t2.clear()
             self._b1.clear()
@@ -378,26 +319,7 @@ class BufferPool:
         self.ghost_hits = 0
 
     # ------------------------------------------------------------------
-    # lru/2q internals
-    # ------------------------------------------------------------------
-    def _load(self, key: tuple[int, int]) -> None:
-        if self.capacity == 0:
-            return
-        self._frames[key] = None
-        if len(self._frames) > self.capacity:
-            self._frames.popitem(last=False)
-            self.evictions += 1
-
-    def _load_probation(self, key: tuple[int, int]) -> None:
-        if self.probation_capacity == 0:
-            return
-        self._probation[key] = None
-        if len(self._probation) > self.probation_capacity:
-            self._probation.popitem(last=False)
-            self.evictions += 1
-
-    # ------------------------------------------------------------------
-    # arc internals
+    # internals
     # ------------------------------------------------------------------
     def _observe_sequential(self, sequential: bool) -> None:
         """Fold consecutive sequential accesses into the scan-length EWMA."""
@@ -417,58 +339,14 @@ class BufferPool:
         observed = max(self.scan_length_ewma, float(self._scan_run))
         return observed > self.capacity
 
-    def _arc_access(self, key: tuple[int, int], sequential: bool) -> bool:
-        if self.capacity == 0:
-            self.misses += 1
-            return False
-        if key in self._t1:
-            del self._t1[key]
-            self._t2[key] = sequential
-            self.hits += 1
-            return True
-        if key in self._t2:
-            self._t2.move_to_end(key)
-            self._t2[key] = sequential
-            self.hits += 1
-            return True
-        if key in self._b1:
-            # Ghost hit on the recency side: LRU-with-larger-T1 would have
-            # kept this frame, so grow the target — unless the ghost came
-            # from a scan no feasible target could cache anyway.
-            self.ghost_hits += 1
-            self.misses += 1
-            ghost_sequential = self._b1.pop(key)
-            if not (ghost_sequential and self._scan_uncacheable()):
-                delta = max(1.0, len(self._b2) / max(1, len(self._b1) + 1))
-                self._target = min(float(self.capacity), self._target + delta)
-            self._arc_replace(ghost_in_b2=False)
-            self._t2[key] = sequential
-            return False
-        if key in self._b2:
-            # Ghost hit on the frequency side: shrink the target.
-            self.ghost_hits += 1
-            self.misses += 1
-            ghost_sequential = self._b2.pop(key)
-            if not (ghost_sequential and self._scan_uncacheable()):
-                delta = max(1.0, len(self._b1) / max(1, len(self._b2) + 1))
-                self._target = max(0.0, self._target - delta)
-            self._arc_replace(ghost_in_b2=True)
-            self._t2[key] = sequential
-            return False
-        # Cold miss.
-        self.misses += 1
-        self._arc_make_room()
-        self._t1[key] = sequential
-        return False
-
-    def _arc_make_room(self) -> None:
+    def _make_room(self) -> None:
         """Case IV of the ARC paper: bound the lists before a T1 insert."""
         c = self.capacity
         if len(self._t1) + len(self._b1) >= c:
             # L1 full: recycle a B1 ghost slot, or T1's LRU if no ghosts.
             if len(self._t1) < c:
                 self._b1.popitem(last=False)
-                self._arc_replace(ghost_in_b2=False)
+                self._replace(ghost_in_b2=False)
             else:
                 self._t1.popitem(last=False)
                 self.evictions += 1
@@ -478,9 +356,9 @@ class BufferPool:
                 >= 2 * c
             ):
                 self._b2.popitem(last=False)
-            self._arc_replace(ghost_in_b2=False)
+            self._replace(ghost_in_b2=False)
 
-    def _arc_replace(self, *, ghost_in_b2: bool) -> None:
+    def _replace(self, *, ghost_in_b2: bool) -> None:
         """REPLACE: evict one resident frame into its ghost list."""
         if len(self._t1) + len(self._t2) < self.capacity:
             return
@@ -500,32 +378,14 @@ class BufferPool:
             return
         self.evictions += 1
 
-    def _arc_admit(self, key: tuple[int, int]) -> None:
-        if self.capacity == 0:
-            return
-        if key in self._t1:
-            del self._t1[key]
-            self._t2[key] = False
-        elif key in self._t2:
-            self._t2.move_to_end(key)
-        else:
-            self._b1.pop(key, None)
-            self._b2.pop(key, None)
-            self._arc_make_room()
-            self._t1[key] = False
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self.policy == "arc":
-            return len(self._t1) + len(self._t2)
-        return len(self._frames) + len(self._probation)
+        return len(self._t1) + len(self._t2)
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        if self.policy == "arc":
-            return key in self._t1 or key in self._t2
-        return key in self._frames or key in self._probation
+        return key in self._t1 or key in self._t2
 
     @property
     def accesses(self) -> int:
@@ -540,21 +400,13 @@ class BufferPool:
 
     @property
     def target_recency(self) -> float:
-        """ARC's adaptive target ``p`` (0.0 under the other policies)."""
+        """ARC's adaptive target ``p``."""
         return self._target
 
     def resident_pages(self) -> list[tuple[int, int]]:
-        """Resident frames, least- to most-recently used.
-
-        For ARC the recency list (T1) precedes the frequency list (T2).
-        """
-        if self.policy == "arc":
-            return list(self._t1) + list(self._t2)
-        return list(self._frames)
-
-    def probation_pages(self) -> list[tuple[int, int]]:
-        """2Q probationary frames, oldest first (empty for lru/arc)."""
-        return list(self._probation)
+        """Resident frames: the recency list (T1) then the frequency list
+        (T2), each least- to most-recently used."""
+        return list(self._t1) + list(self._t2)
 
     def ghost_pages(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """ARC's ``(B1, B2)`` ghost identities, oldest first."""
@@ -562,7 +414,7 @@ class BufferPool:
 
     def __repr__(self) -> str:
         return (
-            f"BufferPool(capacity={self.capacity}, policy={self.policy!r}, "
+            f"BufferPool(capacity={self.capacity}, "
             f"resident={len(self)}, hits={self.hits}, misses={self.misses}, "
             f"ghost_hits={self.ghost_hits})"
         )

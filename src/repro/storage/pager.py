@@ -253,6 +253,12 @@ class DataFile:
         self._live_bytes = 0
         self._free_bytes = 0
         self.reclaimed_slots = 0  # how many appends were served by the free list
+        # Lifetime count of released slots, and for each released address
+        # the count at its latest release: a cache keyed on addresses that
+        # outlives the file's updates asks released_since() which of its
+        # keys may now name another record.
+        self.released_slots = 0
+        self._released_at: dict[DiskAddress, int] = {}
         # Integrity machinery (all inert by default).
         self.scrub = False  # auto-repair corrupt pages instead of raising
         self.fault_injector = None  # callable(page_id) -> None, may raise OSError
@@ -338,11 +344,17 @@ class DataFile:
         page.slot_bytes[address.slot] = -size
         self._live_records -= 1
         self._live_bytes -= size
+        self.released_slots += 1
+        self._released_at[address] = self.released_slots
         self._stamp_page(address.page_id)
         if size <= self.usable_page_bytes:
             self._free.setdefault(size, []).append(address)
             self._free_bytes += size
         return True
+
+    def released_since(self, count: int) -> set[DiskAddress]:
+        """Addresses released after the ``released_slots`` value ``count``."""
+        return {addr for addr, at in self._released_at.items() if at > count}
 
     @property
     def usable_page_bytes(self) -> int:

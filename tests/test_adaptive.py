@@ -1,4 +1,4 @@
-"""The PR 7 adaptive runtime: ARC pool, bounded probing, auto-tuner.
+"""The adaptive runtime: ARC pool, bounded probing, per-batch overrides.
 
 Three layers under test:
 
@@ -9,9 +9,9 @@ Three layers under test:
 * the latency-bounded shard probing — identical answers with the bound
   on and off across every structure x partitioner combination (range and
   NN), plus the update-traffic counters and ``Database.rebalance()``;
-* the workload-aware :class:`~repro.exec.tuner.AutoTuner` and its
-  ``Database`` wiring — per-batch knob overrides, convergence, and the
-  planner-bias / tuner state round trip through ``save()``/``open()``.
+* the ``Database`` wiring — per-batch knob overrides, method variants,
+  explain fields and the planner-bias round trip through
+  ``save()``/``open()``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.core.nn import probabilistic_nearest_neighbors
 from repro.core.query import ProbRangeQuery
 from repro.exec.executor import execute_query
 from repro.exec.shard import ShardedAccessMethod
-from repro.exec.tuner import AutoTuner, TunerDecision
 from repro.geometry.rect import Rect
 from repro.storage.bufferpool import BufferPool
 from repro.uncertainty.montecarlo import AppearanceEstimator
@@ -38,7 +37,7 @@ FID = 0  # pools namespace frames by (file_id, page_id); one file suffices
 # ---------------------------------------------------------------------------
 class TestArcPool:
     def _pool(self, capacity: int) -> BufferPool:
-        pool = BufferPool(capacity, policy="arc")
+        pool = BufferPool(capacity)
         assert pool.register_file() == FID
         return pool
 
@@ -125,16 +124,6 @@ class TestArcPool:
         assert pool.ghost_hits == 1
         pool.reset_counters()
         assert pool.ghost_hits == 0
-
-    def test_partition_propagates_policy(self):
-        pools = BufferPool.partition(12, 3, policy="arc")
-        assert all(p.policy == "arc" for p in pools)
-        pools_2q = BufferPool.partition(12, 3, policy="2q", probation_capacity=2)
-        assert all(p.policy == "2q" for p in pools_2q)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool policy"):
-            BufferPool(4, policy="mru")
 
 
 # ---------------------------------------------------------------------------
@@ -290,130 +279,6 @@ class TestTrafficAndRebalance:
 
 
 # ---------------------------------------------------------------------------
-# the auto-tuner
-# ---------------------------------------------------------------------------
-class TestAutoTuner:
-    def test_untried_values_swept_first(self):
-        tuner = AutoTuner({"a": [1, 2], "b": ["x", "y"]})
-        explored = []
-        for _ in range(4):
-            decision = tuner.propose()
-            explored.append((decision.explored, decision.assignment))
-            tuner.observe(decision, 100.0)
-        # Every (knob, value) pair gets sampled during the initial sweep.
-        assert all(d[0] is not None for d in explored)
-        assert all(t > 0 for s in tuner._stats.values() for _, t in s)
-
-    def test_incumbent_moves_to_best_value(self):
-        tuner = AutoTuner({"k": ["slow", "fast"]}, stable_after=2)
-        for _ in range(8):
-            decision = tuner.propose()
-            qps = 200.0 if decision.assignment["k"] == "fast" else 50.0
-            tuner.observe(decision, qps)
-        assert tuner.incumbent["k"] == "fast"
-
-    def test_convergence_stops_exploration(self):
-        tuner = AutoTuner({"k": [1, 2]}, stable_after=2, min_trials=1)
-        while not tuner.converged:
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0 if decision.assignment["k"] == 1 else 10.0)
-            assert tuner.observations < 50, "tuner failed to converge"
-        for _ in range(5):
-            decision = tuner.propose()
-            assert decision.explored is None
-            assert decision.assignment == tuner.incumbent
-
-    def test_exploration_credits_only_the_flipped_knob(self):
-        tuner = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        decision = tuner.propose()
-        assert decision.explored == "k"  # sweep starts at the first knob
-        tuner.observe(decision, 100.0)
-        # "m" was context, not the perturbation: no credit.
-        assert all(trials == 0 for _, trials in tuner._stats["m"])
-        assert tuner._value_stats("k", decision.assignment["k"])[1] == 1
-
-    def test_second_sample_discards_cold_start(self):
-        tuner = AutoTuner({"k": [1, 2]}, smoothing=0.4)
-        first = tuner.propose()
-        tuner.observe(first, 10.0)  # cold debut
-        second = TunerDecision(assignment=dict(first.assignment), explored="k")
-        tuner.observe(second, 100.0)
-        stats = tuner._value_stats("k", first.assignment["k"])
-        assert stats[0] == pytest.approx(100.0)  # overwrote, did not fold
-        assert stats[1] == 2
-        tuner.observe(second, 50.0)
-        assert stats[0] == pytest.approx(0.6 * 100.0 + 0.4 * 50.0)
-
-    def test_switch_needs_margin_over_incumbent(self):
-        tuner = AutoTuner({"k": [1, 2]}, switch_margin=0.1, stable_after=99)
-        inc = TunerDecision(assignment={"k": 1}, explored="k")
-        alt = TunerDecision(assignment={"k": 2}, explored="k")
-        for decision, qps in ((inc, 100.0), (inc, 100.0), (alt, 105.0), (alt, 105.0)):
-            tuner.observe(decision, qps)
-        assert tuner.incumbent["k"] == 1  # 5% better is noise, not a win
-        tuner.observe(alt, 200.0)
-        tuner.observe(alt, 200.0)
-        assert tuner.incumbent["k"] == 2  # a real gap clears the margin
-
-    def test_convergence_is_sticky(self):
-        tuner = AutoTuner({"k": [1, 2]}, stable_after=2, min_trials=1)
-        while not tuner.converged:
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0 if decision.assignment["k"] == 1 else 50.0)
-        assert tuner.incumbent["k"] == 1
-        # A post-convergence exploit stream slowing down (machine drift)
-        # must not flip the incumbent against frozen alternatives.
-        for _ in range(10):
-            tuner.observe(tuner.propose(), 20.0)
-        assert tuner.incumbent["k"] == 1
-        assert tuner.converged
-
-    def test_single_value_knobs_dropped(self):
-        tuner = AutoTuner({"only": ["thread"], "real": [1, 2]})
-        assert "only" not in tuner.knobs
-        assert "real" in tuner.knobs
-
-    def test_bad_qps_ignored(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        decision = tuner.propose()
-        tuner.observe(decision, 0.0)
-        tuner.observe(decision, float("nan"))
-        assert tuner.observations == 0
-
-    def test_state_round_trip(self):
-        tuner = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        for _ in range(6):
-            decision = tuner.propose()
-            tuner.observe(decision, 120.0 if decision.assignment["k"] == 2 else 60.0)
-        state = tuner.state_dict()
-        fresh = AutoTuner({"k": [1, 2], "m": ["a", "b"]})
-        fresh.load_state(state)
-        assert fresh.incumbent == tuner.incumbent
-        assert fresh.observations == tuner.observations
-        assert fresh._stats == tuner._stats
-
-    def test_load_state_intersects_changed_knobs(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        for _ in range(4):
-            decision = tuner.propose()
-            tuner.observe(decision, 100.0)
-        fresh = AutoTuner({"k": [2, 3], "new": ["p", "q"]})
-        fresh.load_state(tuner.state_dict())
-        assert fresh._value_stats("k", 2)[1] > 0  # survived
-        assert fresh._value_stats("k", 3)[1] == 0  # never saved
-        assert fresh._value_stats("new", "p")[1] == 0
-
-    def test_report_and_explain_lines(self):
-        tuner = AutoTuner({"k": [1, 2]})
-        decision = tuner.propose()
-        tuner.observe(decision, 50.0)
-        report = tuner.report()
-        assert set(report) >= {"incumbent", "converged", "knobs", "observations"}
-        lines = tuner.explain_lines()
-        assert any("auto-tuner" in line for line in lines)
-
-
-# ---------------------------------------------------------------------------
 # Database wiring: overrides, variants, persistence, explain
 # ---------------------------------------------------------------------------
 def _specs():
@@ -501,64 +366,8 @@ class TestDatabaseAdaptive:
         with pytest.raises(ValueError, match="batched=True"):
             unbatched.run(_specs(), parallelism=2)
 
-    def test_auto_tune_converges_with_stable_answers(self):
-        config = ExecConfig(
-            shards=2,
-            mc_samples=500,
-            auto_tune=True,
-            parallelism=2,
-            filter_kernel="on",
-        )
-        db = Database.create(
-            make_mixed_objects(24, seed=5),
-            config,
-            methods=("utree@mono", "utree@sharded"),
-        )
-        # Replace the qps time source with a deterministic tick clock:
-        # every batch measures the same wall time, so every observation
-        # is noise-free, hysteresis never flips an incumbent, and the
-        # tuner converges in exactly the sweep-plus-stability batch
-        # count — on any machine, under any load.
-        ticks = iter(range(1, 10**9))
-
-        def tick_clock() -> float:
-            return next(ticks) * 0.001
-
-        db.tuner.clock = tick_clock
-        specs = _specs()
-        baseline = None
-        # Each value needs one observed sample, but a batch that builds
-        # a fresh executor is warm-up-skipped and the value is swept
-        # again — and every incumbent shift can mint one more cold
-        # executor combination.  The tick clock makes the whole schedule
-        # deterministic (this config converges on decision 28 exactly),
-        # so a fixed budget replaces the old "80 batches and hope" slack.
-        sweep = sum(len(values) for values in db.tuner.knobs.values())
-        budget = 4 * sweep + db.tuner.stable_after
-        converged_at = None
-        for batch_index in range(budget):
-            answers = [sorted(r.object_ids) for r in db.run(specs)]
-            baseline = answers if baseline is None else baseline
-            assert answers == baseline
-            if db.tuner.converged:
-                converged_at = batch_index
-                break
-        assert db.tuner.converged, (
-            f"tuner not converged after {budget} noise-free batches: "
-            f"{db.tuner.report()}"
-        )
-        # Re-running the identical schedule converges at the identical
-        # batch — the regression this fake clock exists to pin.
-        assert converged_at is not None and converged_at < budget
-        report = db.explain(specs[0]).tuner
-        assert report is not None and report["converged"]
-        assert set(report["incumbent"]) == set(db.tuner.knobs)
-        db.close()
-
     def test_explain_serial_fallback_and_pool_fields(self):
-        config = ExecConfig(
-            parallelism=4, mc_samples=1000, pool_capacity=16, pool_policy="arc"
-        )
+        config = ExecConfig(parallelism=4, mc_samples=1000, pool_capacity=16)
         db = Database.create(make_mixed_objects(12, seed=5), config)
         spec = _specs()[0]
         small = db.explain(spec, batch_size=10)
@@ -566,10 +375,9 @@ class TestDatabaseAdaptive:
         assert small.batch_queries == 10
         big = db.explain(spec, batch_size=300)
         assert not big.serial_fallback  # 300 x 1000 >= 250k
-        assert small.pool_policy == "arc"
         assert small.pool_capacity == 16
         assert "serial fallback" in small.summary()
-        assert small.tuner is None  # auto_tune off
+        assert "buffer pool: arc, 16 frames" in small.summary()
         with pytest.raises(ValueError, match="batch_size"):
             db.explain(spec, batch_size=0)
 
@@ -584,21 +392,15 @@ class TestDatabaseAdaptive:
         assert "bound-skipped" in explanation.summary()
 
     def test_learned_state_round_trips_through_save_open(self, tmp_path):
-        config = ExecConfig(
-            shards=2, mc_samples=500, auto_tune=True, filter_kernel="on"
-        )
+        config = ExecConfig(shards=2, mc_samples=500, filter_kernel="on")
         db = Database.create(
             make_mixed_objects(20, seed=5),
             config,
             methods=("utree@mono", "utree@sharded"),
         )
         specs = _specs()
-        for _ in range(6):
+        for _ in range(3):
             db.run(specs)
-        # Train the per-method bias explicitly (tuner-pinned batches
-        # bypass the planner, so feed it a planned batch too).
-        db.run(specs, parallelism=1)
-        assert db.tuner.observations > 0
         db.planner.observe_choice("utree@mono", 10.0, 25.0)
         path = tmp_path / "adaptive.npz"
         db.save(path)
@@ -612,9 +414,6 @@ class TestDatabaseAdaptive:
             db.planner.bias("utree@mono")
         )
         assert reopened.planner.observations == db.planner.observations
-        assert reopened.tuner is not None
-        assert reopened.tuner.incumbent == db.tuner.incumbent
-        assert reopened.tuner.observations == db.tuner.observations
         reopened.close()
 
     def test_single_utree_archive_round_trips_planner_state(self, tmp_path):
@@ -644,35 +443,12 @@ class TestDatabaseAdaptive:
 # config / environment plumbing
 # ---------------------------------------------------------------------------
 class TestEnvKnobs:
-    def test_pool_policy_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_POLICY", "ARC")
-        assert ExecConfig.from_env().pool_policy == "arc"
-        monkeypatch.setenv("REPRO_POOL_POLICY", "bogus")
-        with pytest.raises(ValueError, match="unknown pool_policy"):
-            ExecConfig.from_env()
-
-    def test_pool_probation_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PROBATION", "3")
-        assert ExecConfig.from_env().pool_probation == 3
-        monkeypatch.setenv("REPRO_POOL_PROBATION", "-1")
-        with pytest.raises(ValueError, match="non-negative"):
-            ExecConfig.from_env()
-
     def test_probe_bound_env(self, monkeypatch):
         assert ExecConfig.from_env().probe_bound  # default on
         monkeypatch.setenv("REPRO_PROBE_BOUND", "0")
         assert not ExecConfig.from_env().probe_bound
 
-    def test_auto_tune_env(self, monkeypatch):
-        assert not ExecConfig.from_env().auto_tune
-        monkeypatch.setenv("REPRO_AUTO_TUNE", "1")
-        assert ExecConfig.from_env().auto_tune
-
-    def test_auto_tune_requires_batched(self):
-        with pytest.raises(ValueError, match="batched"):
-            ExecConfig(auto_tune=True, batched=False)
-
     def test_paper_exact_pins_uncached_untuned(self):
         config = ExecConfig.paper_exact()
         assert config.pool_capacity == 0
-        assert not config.auto_tune
+        assert not config.batched and config.parallelism == 1

@@ -139,11 +139,15 @@ class TestExecConfig:
     def test_from_env_reads_each_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_FILTER_KERNEL", "off")
         monkeypatch.setenv("REPRO_SHARD_PARALLELISM", "3")
+        # Recognised (the experiments read it through active_scale), so
+        # no warning — but it selects no ExecConfig field.
         monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-        config = ExecConfig.from_env()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = ExecConfig.from_env()
         assert config.filter_kernel == "off" and not config.kernel_enabled
         assert config.parallelism == 3
-        assert config.full_scale
+        assert config == ExecConfig(filter_kernel="off", parallelism=3)
 
     def test_from_env_overrides_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_PARALLELISM", "3")
@@ -423,7 +427,46 @@ class TestNearest:
             db.nearest(NearestSpec([0.0, 0.0]))
 
 
+def _disk(oid: int, centre) -> "UncertainObject":
+    from repro.uncertainty.objects import UncertainObject
+    from repro.uncertainty.pdfs import UniformDensity
+    from repro.uncertainty.regions import BallRegion
+
+    region = BallRegion(np.asarray(centre, dtype=float), 250.0)
+    return UncertainObject(oid, UniformDensity(region, marginal_seed=oid))
+
+
 class TestUpdates:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_moved_object_in_reclaimed_slot_gets_fresh_papp(self, executor):
+        """A move that reuses its exact-size freed slot keeps its
+        DiskAddress; the next query must not be answered from the old
+        object's memoised (or forked) P_app."""
+        rng = np.random.default_rng(3)
+        centres = rng.uniform(0, 10_000, (300, 2))
+        centres[5] = (5000.0, 5000.0)
+        moved = _disk(5, (4830.0, 4830.0))
+        spec = RangeSpec(Rect([4900.0, 4900.0], [5400.0, 5400.0]), 0.3)
+        config = ExecConfig(
+            mc_samples=2000,
+            reclaim=True,
+            executor=executor,
+            parallelism=2 if executor == "process" else 1,
+        )
+        with Database.create(
+            [_disk(i, centres[i]) for i in range(300)], config
+        ) as db:
+            assert db.query(spec).object_ids == [5]
+            data_file = db.access_method().data_file
+            db.delete(5)
+            db.insert(moved)
+            assert data_file.reclaimed_slots == 1  # the old slot, reused
+            assert db.probabilities(spec, [5])[5] < 0.3
+            assert db.query(spec).object_ids == []
+        fresh_objects = [_disk(i, centres[i]) for i in range(300) if i != 5]
+        with Database.create(fresh_objects + [moved], config) as fresh:
+            assert fresh.query(spec).object_ids == []
+
     def test_insert_delete_round_trip(self):
         objects = _objects()
         db = Database.create([], ExecConfig(mc_samples=400, seed=SEED), dim=2)
@@ -532,6 +575,42 @@ class TestSaveOpen:
         assert db.query(spec).sorted_ids() == sorted(
             tree.query(spec.to_query()).object_ids
         )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_archive_with_retired_knobs_opens(self, tmp_path, shards):
+        """Archives written while ExecConfig still carried auto_tune,
+        pool_policy, pool_probation and full_scale (and the meta a
+        "tuner" state) open with the same ids and P_app."""
+        import json
+
+        from repro.api import database as database_module
+
+        config = ExecConfig(shards=shards, mc_samples=N_SAMPLES, seed=SEED)
+        db = Database.create(_objects(), config)
+        path = tmp_path / "legacy.npz"
+        db.save(path)
+        with np.load(path) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        meta = json.loads(str(entries[database_module._META_KEY]))
+        meta["config"].update(
+            auto_tune=True, pool_policy="2q", pool_probation=3, full_scale=True
+        )
+        meta["tuner"] = {
+            "incumbent": {"parallelism": 2},
+            "observations": 7,
+            "stats": {},
+        }
+        entries[database_module._META_KEY] = np.asarray(json.dumps(meta))
+        np.savez(path, **entries)
+
+        reopened = Database.open(path)
+        assert reopened.config == config
+        oids = [obj.oid for obj in _objects()]
+        for spec in _specs():
+            assert reopened.query(spec).sorted_ids() == db.query(spec).sorted_ids()
+            assert reopened.probabilities(spec, oids) == db.probabilities(
+                spec, oids
+            )
 
     def test_save_utree_rejects_clashing_extra_keys(self, tmp_path):
         tree = UTree(2, estimator=_estimator())

@@ -120,6 +120,23 @@ class TestDataFileReclaim:
         assert df.reclaimed_slots == 1
         assert df.read(reused) == "c"
 
+    def test_released_since_names_freed_addresses(self):
+        df = DataFile(page_size=100)
+        df.release(df.append("a", 40))  # reclaim off: nothing is counted
+        assert (df.released_slots, df.released_since(0)) == (0, set())
+        df = DataFile(page_size=100, reclaim=True)
+        a = df.append("a", 40)
+        b = df.append("b", 40)
+        df.release(a)
+        mark = df.released_slots
+        df.release(b)
+        assert df.released_slots == 2
+        assert df.released_since(0) == {a, b}
+        assert df.released_since(mark) == {b}
+        df.release(df.append("c", 40))  # b's slot again: newest release wins
+        assert df.released_since(mark) == {b}
+        assert df.released_since(df.released_slots) == set()
+
     def test_reuse_requires_exact_size(self):
         df = DataFile(page_size=100, reclaim=True)
         a = df.append("a", 40)
