@@ -6,10 +6,10 @@ implementing the :class:`~repro.exec.access.AccessMethod` protocol) from
 
 * :func:`~repro.exec.executor.execute_query` / :class:`QueryExecutor` —
   the shared filter → refine driver every ``query()`` method delegates to;
-* :class:`~repro.exec.refine.RefinementEngine` — vectorized sample-reuse
-  appearance-probability evaluation (per-object clouds drawn once into a
-  bounded cache, whole batches answered with stacked mask reductions,
-  bit-identical to the scalar estimator);
+* :class:`~repro.exec.refine.RefinementEngine` — sample-reuse
+  appearance-probability evaluation (per-object column-major clouds
+  drawn once into a bounded cache, every pair answered by the scalar
+  estimator's own per-axis mask reduction, so bit-identical to it);
 * :class:`~repro.exec.batch.BatchExecutor` — workload execution with
   batch-deduplicated data-page fetches, memoised appearance
   probabilities, and optional thread-pool overlap of its filter / fetch /

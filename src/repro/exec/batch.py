@@ -14,8 +14,11 @@ The :class:`BatchExecutor` closes both gaps.  It runs every query's filter
 phase first, fetches each candidate data page once for the entire batch
 (skipping pages whose every candidate is already memoised), then refines
 per query through the :class:`~repro.exec.refine.RefinementEngine`
-(shared sample clouds, stacked mask evaluation) with a memo keyed on
-``(disk address, query_rect)``.  A reused object id lands at a fresh
+(shared column-major sample clouds) with a memo keyed on
+``(disk address, query_rect)``.  The memo is FIFO-bounded: at the start
+of every batch its oldest entries beyond :data:`MEMO_CAP` are dropped,
+so it only ever grows *within* a batch, which the batch-start fetch plan
+relies on.  A reused object id lands at a fresh
 address, and under ``reclaim`` a freed address's entries are dropped
 before the next batch (its slot may now hold another record), so no
 query is ever served a stale probability.  The Monte-Carlo
@@ -64,6 +67,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.stats import QueryStats, ShardStats, WorkloadStats
@@ -77,8 +81,25 @@ __all__ = [
     "BatchExecutor",
     "BatchResult",
     "BatchStats",
+    "MEMO_CAP",
     "SERIAL_FALLBACK_SAMPLE_OPS",
 ]
+
+# P_app memo entries kept across batches (about 1.3 MB at 8,192),
+# trimmed oldest-first at each batch start.  Without a bound a
+# long-lived database keeps every (address, rect) pair it ever refined.
+MEMO_CAP = 8192
+
+
+def trim_memo(memo: dict | None, cap: int = MEMO_CAP) -> None:
+    """Drop the oldest memo entries beyond ``cap`` (batch start only)."""
+    if memo is None:
+        return
+    excess = len(memo) - cap
+    if excess > 0:
+        for key in list(islice(memo, excess)):
+            del memo[key]
+
 
 # Queries per sharded filter task in parallel mode: large enough to
 # amortise task dispatch over a shard's warm walk, small enough that an
@@ -268,8 +289,10 @@ class BatchExecutor:
         method: the structure to execute against.
         memoize: share appearance-probability results across queries keyed
             on ``(disk_address, query_rect)``.  The memo persists across
-            :meth:`run` calls until :meth:`clear_memo`; entries of
-            addresses the data file released in between are dropped.
+            :meth:`run` calls until :meth:`clear_memo`, holding at most
+            :data:`MEMO_CAP` entries at each batch start (oldest dropped
+            first); entries of addresses the data file released in
+            between are dropped.
         dedupe_pages: fetch each candidate data page once per batch rather
             than once per query.
         engine: refinement engine to use; defaults to one bound to the
@@ -439,6 +462,7 @@ class BatchExecutor:
     def run(self, queries: Sequence[ProbRangeQuery]) -> BatchResult:
         """Execute the whole workload, amortising page fetches and P_app."""
         self._drop_released()
+        trim_memo(self._prob_memo)
         if self.parallelism == 1:
             return self._run_serial(queries)
         if self._below_fallback_threshold(queries):

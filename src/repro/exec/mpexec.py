@@ -38,7 +38,10 @@ back equal to the serial run.  Two documented exceptions, both cost-only
 makes physical/cache splits access-order-dependent, and
 ``share_samples=True`` prewarms the cache, shifting hit/miss ledgers.
 The defaults (no pool, no prewarm) are the exact regime, and the
-equivalence tests pin it.
+equivalence tests pin it.  Across batches the P_app memo is bounded: each
+worker keeps at most ``MEMO_CAP // workers`` entries at a batch start,
+trimmed oldest-first by its own order, so once a long-lived pool reaches
+the cap its memo-hit ledger may drift from the serial run's — cost only.
 
 Workers persist across :meth:`ProcessBatchExecutor.run` calls — their
 memos and caches stay warm like the thread executor's — and are re-forked
@@ -80,7 +83,7 @@ from typing import Any
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.stats import QueryStats
 from repro.exec.access import AccessMethod, FilterResult
-from repro.exec.batch import BatchExecutor, BatchResult
+from repro.exec.batch import MEMO_CAP, BatchExecutor, BatchResult, trim_memo
 from repro.exec.refine import RefinementEngine, refine_with_engine
 from repro.faults import DegradedWarning, WorkerError, WorkerTimeout
 from repro.storage.shm import SharedArena
@@ -212,6 +215,7 @@ def _worker_loop(
     memoize: bool,
     dedupe_pages: bool,
     io_latency_seconds: float,
+    memo_cap: int,
 ) -> None:
     """Command loop of one forked worker.
 
@@ -219,7 +223,8 @@ def _worker_loop(
     refinement engine (``for_method`` resolves to the same per-estimator
     engine the parent uses, so the forked sample cache starts warm), a
     private data-file reader view carrying this worker's I/O ledger and
-    simulated latency, and the worker-resident probability memo.
+    simulated latency, and the worker-resident probability memo, trimmed
+    to ``memo_cap`` entries at each batch start.
     """
     engine = RefinementEngine.for_method(method)
     view = method.data_file.reader_view(latency_seconds=io_latency_seconds)
@@ -254,6 +259,7 @@ def _worker_loop(
                 elif kind == "probe":
                     reply = _do_probe(method, payload)
                 elif kind == "refine":
+                    trim_memo(memo, memo_cap)  # batch start: grows only within it
                     reply = _do_refine(
                         engine, view, memo, dedupe_pages, payload
                     )
@@ -261,6 +267,8 @@ def _worker_loop(
                     if memo is not None:
                         memo.clear()
                     reply = True
+                elif kind == "memo_size":
+                    reply = len(memo) if memo is not None else 0
                 else:
                     raise ValueError(f"unknown worker command {kind!r}")
             except Exception:
@@ -306,7 +314,8 @@ class ProcessBatchExecutor(BatchExecutor):
             ``shard % workers``; data pages by ``page % workers``.
         memoize / dedupe_pages / engine: as in :class:`BatchExecutor`.
             Memos live *inside* the workers (partitioned by page
-            ownership); ``memo_size`` therefore reports 0 here and
+            ownership, each capped at ``MEMO_CAP // workers``);
+            ``memo_size`` asks every worker for its size and
             :meth:`clear_memo` broadcasts to the pool.
         io_latency_seconds: simulated per-page latency applied inside
             each worker's reader view — this is the time the process pool
@@ -445,6 +454,9 @@ class ProcessBatchExecutor(BatchExecutor):
                 self.memoize,
                 self.dedupe_pages,
                 self.io_latency_seconds,
+                # The pages, hence the memo entries, split across workers;
+                # so does the cap, keeping the pool's total at MEMO_CAP.
+                max(1, MEMO_CAP // self.workers),
             ),
             daemon=True,
         )
@@ -522,6 +534,17 @@ class ProcessBatchExecutor(BatchExecutor):
             self._exchange(
                 {wid: ("clear_memo", None) for wid in range(len(self._conns))}
             )
+
+    @property
+    def memo_size(self) -> int:
+        """Memo entries held in the parent plus every live worker."""
+        size = super().memo_size
+        if self._procs:
+            replies = self._exchange(
+                {wid: ("memo_size", None) for wid in range(len(self._conns))}
+            )
+            size += sum(replies.values())
+        return size
 
     @property
     def worker_layout(self) -> tuple[int, ...]:

@@ -9,23 +9,23 @@ so everything except the query mask is redundant work.
 
 :class:`RefinementEngine` removes that redundancy in two steps:
 
-1. **Sample reuse** — each object's points, per-point densities and
-   normalising total live in a bounded
+1. **Sample reuse** — each object's per-axis point columns, per-point
+   densities and normalising total live in a bounded
    :class:`~repro.uncertainty.montecarlo.SampleCache`: drawn once, reused
    by every query the object ever meets.
-2. **Batched masking** — a whole batch of ``(object, query)`` pairs is
-   answered with stacked NumPy operations: all of one object's query
-   rectangles are stacked into ``(q, d)`` lo/hi arrays, a single
-   broadcasted comparison produces the ``(q, n1)`` inside mask, and each
-   probability is the masked weight reduction over the shared cloud.
+2. **One column-major reduction** — a cloud is stored as one
+   C-contiguous ``(d, n1)`` buffer, and every probability, scalar or
+   batched, is :func:`~repro.uncertainty.montecarlo.mask_reduce`: the
+   inside mask is ANDed one axis at a time over the contiguous columns,
+   then the masked weights are summed.  A batch pulls each object's
+   cloud once and loops its rectangles through that same reduction.
 
 Both paths are **bit-identical** to the scalar
 :meth:`~repro.uncertainty.montecarlo.AppearanceEstimator.estimate`: the
-cache replays the exact draw the estimator would make, the stacked mask
-equals ``rect.contains_points`` row by row (boolean comparisons are
-exact), and the final reduction is the same ``weights[mask].sum() /
-total`` in the same order.  Tests assert equality with ``==``, not
-``approx``.
+cache replays the exact draw the estimator would make, and the estimator
+itself reduces through :func:`~repro.uncertainty.montecarlo.mask_reduce`,
+so there is one ``weights[mask].sum() / total`` in the whole program.
+Tests assert equality with ``==``, not ``approx``.
 
 :func:`refine_with_engine` is the refinement driver the executors plug
 into: it groups candidates by data page, pulls payloads (from a
@@ -41,20 +41,14 @@ import time
 import weakref
 from collections.abc import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.query import ProbRangeQuery
 from repro.core.stats import QueryStats
 from repro.geometry.rect import Rect
 from repro.storage.pager import DataFile, DiskAddress
-from repro.uncertainty.montecarlo import AppearanceEstimator, SampleCache
+from repro.uncertainty.montecarlo import AppearanceEstimator, SampleCache, mask_reduce
 from repro.uncertainty.objects import UncertainObject
 
 __all__ = ["RefinementEngine", "refine_with_engine"]
-
-# Rectangles masked per broadcast: bounds the (chunk, n1, d) comparison
-# temporaries to a few MB at paper-scale sample counts.
-_RECT_CHUNK = 128
 
 # One shared engine per estimator: QueryExecutor, BatchExecutor and the
 # Planner all ask for "the engine for this method", and giving each its
@@ -77,14 +71,6 @@ def _short_circuit(rect: Rect, mbr: Rect) -> float | None:
     if not rect.intersects(mbr):
         return 0.0
     return None
-
-
-def _mask_reduce(samples, rect: Rect) -> float:
-    """The estimator's exact scalar reduction over a cached cloud."""
-    if samples.total <= 0.0:
-        return 0.0
-    inside = rect.contains_points(samples.points)
-    return float(samples.weights[inside].sum()) / samples.total
 
 
 class RefinementEngine:
@@ -180,7 +166,7 @@ class RefinementEngine:
         trivial = _short_circuit(rect, obj.pdf.region.mbr())
         if trivial is not None:
             return trivial
-        return _mask_reduce(self.cache.get(obj.pdf, obj.oid), rect)
+        return mask_reduce(self.cache.get(obj.pdf, obj.oid), rect)
 
     def estimate_batch(
         self, pairs: Sequence[tuple[UncertainObject, Rect]]
@@ -188,9 +174,9 @@ class RefinementEngine:
         """``P_app`` for every ``(object, rect)`` pair, order preserved.
 
         Pairs are grouped by object so each object's cloud is pulled from
-        the cache once; all of its rectangles are masked in one stacked
-        comparison.  Each returned value equals the scalar
-        :meth:`estimate` for that pair bitwise.
+        the cache once; each of its rectangles then goes through the same
+        :func:`~repro.uncertainty.montecarlo.mask_reduce` as the scalar
+        :meth:`estimate`, so every returned value equals it bitwise.
         """
         with self._counter_lock:
             self.batch_calls += 1
@@ -209,36 +195,8 @@ class RefinementEngine:
 
         for obj, group in grouped.values():
             samples = self.cache.get(obj.pdf, obj.oid)
-            if samples.total <= 0.0:
-                continue  # every pair stays 0.0, as in the scalar path
-            weights = samples.weights
-            if len(group) == 1:
-                # Single rectangle (the refine-one-query shape): the
-                # scalar reduction needs no stacked staging.
-                idx, rect = group[0]
-                results[idx] = _mask_reduce(samples, rect)
-                continue
-            # Per-axis contiguous columns, staged once at draw time: the
-            # stacked comparisons stream each coordinate per chunk.
-            columns = samples.columns
-            for chunk_start in range(0, len(group), _RECT_CHUNK):
-                chunk = group[chunk_start : chunk_start + _RECT_CHUNK]
-                los = np.stack([rect.lo for _, rect in chunk])
-                his = np.stack([rect.hi for _, rect in chunk])
-                # (q, n1) mask accumulated axis by axis; row j is exactly
-                # rect_j.contains_points (boolean comparisons are exact,
-                # so bit-identity survives the vectorization).
-                inside = (columns[0] >= los[:, 0, None]) & (
-                    columns[0] <= his[:, 0, None]
-                )
-                for axis in range(1, len(columns)):
-                    inside &= (columns[axis] >= los[:, axis, None]) & (
-                        columns[axis] <= his[:, axis, None]
-                    )
-                for row, (idx, _) in enumerate(chunk):
-                    results[idx] = (
-                        float(weights[inside[row]].sum()) / samples.total
-                    )
+            for idx, rect in group:
+                results[idx] = mask_reduce(samples, rect)
         return results
 
     def __repr__(self) -> str:

@@ -330,13 +330,17 @@ class DataFile:
 
         No I/O is charged: freeing updates the in-memory allocator map,
         and the physical page write is charged when the slot is reused.
-        A no-op (returning False) with ``reclaim`` off — the seed's
-        append-only accounting stays untouched — or when the slot was
+        With ``reclaim`` off the paper's append-only accounting stays
+        untouched — slot, I/O, ``record_count``, ``live_bytes`` and
+        ``size_bytes`` are as if nothing happened, and the call returns
+        False — but the deleted payload is dropped, so the file does not
+        keep every deleted object alive.  Also False when the slot was
         already released.
         """
-        if not self.reclaim:
-            return False
         page = self._pages[address.page_id]
+        if not self.reclaim:
+            page.payloads[address.slot] = None
+            return False
         size = page.slot_bytes[address.slot]
         if size <= 0:
             return False
@@ -590,11 +594,11 @@ class DataFile:
 
         Out-of-band access only (serialisation, worker prewarm) — query
         execution must go through :meth:`read_page`.  Unlike
-        :meth:`read_page` this skips released slots: its callers iterate
-        records rather than indexing by slot.
+        :meth:`read_page` this skips released slots, including those
+        whose payload was dropped with ``reclaim`` off: its callers
+        iterate records rather than indexing by slot.
         """
-        page = self._pages[page_id]
-        return [p for p, size in zip(page.payloads, page.slot_bytes) if size > 0]
+        return [p for p in self._pages[page_id].payloads if p is not None]
 
     def reader_view(
         self, *, io: IOCounter | None = None, latency_seconds: float = 0.0

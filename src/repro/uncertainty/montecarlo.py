@@ -15,9 +15,10 @@ probability computation" in Figs. 9-10) and the accuracy study (Fig. 7).
 The per-object sample stream is fully determined by ``(seed, object_id)``
 — every estimate against the same object re-draws the *same* cloud of
 points and re-evaluates the same densities.  :class:`SampleCache` exploits
-that: it stores one :class:`ObjectSamples` (points, per-point densities,
-normalising total) per object, so the stream is drawn once and every
-subsequent estimate reduces to a mask-and-dot over cached arrays.  Results
+that: it stores one :class:`ObjectSamples` (per-axis point columns,
+per-point densities, normalising total) per object, so the stream is
+drawn once and every subsequent estimate reduces to a mask-and-sum over
+cached arrays (:func:`mask_reduce`).  Results
 are bit-identical to the uncached path because the cache replays exactly
 the draw the estimator would have made.
 """
@@ -39,7 +40,9 @@ __all__ = [
     "AppearanceEstimator",
     "ObjectSamples",
     "SampleCache",
+    "draw_samples",
     "estimate_appearance_probability",
+    "mask_reduce",
 ]
 
 
@@ -47,15 +50,20 @@ __all__ = [
 class ObjectSamples:
     """One object's cached Monte-Carlo state: draw once, reuse forever.
 
+    The cloud is stored column-major: one C-contiguous ``(d, n1)`` buffer
+    whose rows are the per-axis coordinates.  :func:`mask_reduce` tests a
+    rectangle one axis at a time over those contiguous rows, which is
+    several times faster than an ``(n1, d)`` row-major mask and selects
+    the same samples in the same order.
+
     Attributes:
-        points: ``(n1, d)`` uniform draws from the uncertainty region.
+        columns: ``(d, n1)`` C-contiguous coordinates of the ``n1``
+            uniform draws from the uncertainty region; ``columns[i]`` is
+            axis ``i``.
         weights: pdf values at each point.
         total: ``float(weights.sum())`` — the estimator's normaliser,
             stored so cached and uncached estimates divide by the exact
             same float.
-        columns: per-axis views of ``points``, staged once at draw time
-            for the engine's stacked mask comparisons (zero-copy — they
-            share the points buffer).
         density_ref: weak reference to the density the cloud was drawn
             from.  Object ids can be reused (delete + re-insert), so a
             cache hit is only valid if the requesting density is the
@@ -63,16 +71,63 @@ class ObjectSamples:
             pdfs alive.
     """
 
-    points: np.ndarray
+    columns: np.ndarray
     weights: np.ndarray
     total: float
-    columns: tuple[np.ndarray, ...] = ()
     density_ref: "weakref.ref | None" = None
 
     @property
+    def points(self) -> np.ndarray:
+        """``(n1, d)`` view of the draws (the transpose of ``columns``)."""
+        return self.columns.T
+
+    @property
     def nbytes(self) -> int:
-        # columns are views into the points buffer — not counted twice.
-        return self.points.nbytes + self.weights.nbytes
+        return self.columns.nbytes + self.weights.nbytes
+
+
+def draw_samples(
+    density: Density, n_samples: int, seed: int, object_id: int
+) -> ObjectSamples:
+    """The object's deterministic cloud from ``default_rng((seed, object_id))``.
+
+    The one draw behind both :class:`SampleCache` and the uncached
+    :meth:`AppearanceEstimator.samples_for`.  Points are drawn and
+    weighted row-major exactly as the region and density define them;
+    only then is the cloud restaged as its ``(d, n1)`` column buffer, so
+    weights and ``total`` do not depend on the layout.
+    """
+    rng = np.random.default_rng((seed, object_id))
+    points = density.region.sample(n_samples, rng)
+    weights = density.density(points)
+    return ObjectSamples(
+        columns=np.ascontiguousarray(points.T),
+        weights=weights,
+        total=float(weights.sum()),
+        density_ref=weakref.ref(density),
+    )
+
+
+def mask_reduce(samples: ObjectSamples, rect: Rect) -> float:
+    """Eq. 3 over a drawn cloud: the weight share of the samples in ``rect``.
+
+    The single reduction behind every P_app estimate, scalar or batched.
+    The inside mask is ANDed one axis at a time over the contiguous
+    columns; it equals ``rect.contains_points(samples.points)`` element
+    for element (the comparisons are exact), so the masked sum adds the
+    same weights in the same order.
+    """
+    if samples.total <= 0.0:
+        return 0.0
+    columns = samples.columns
+    lo = rect.lo
+    hi = rect.hi
+    inside = columns[0] >= lo[0]
+    inside &= columns[0] <= hi[0]
+    for axis in range(1, len(columns)):
+        inside &= columns[axis] >= lo[axis]
+        inside &= columns[axis] <= hi[axis]
+    return float(samples.weights[inside].sum()) / samples.total
 
 
 class SampleCache:
@@ -220,20 +275,9 @@ class SampleCache:
         return entry
 
     def _draw(self, density: Density, object_id: int) -> ObjectSamples:
-        # Exactly the draw AppearanceEstimator made before the cache
-        # existed — same RNG derivation, same order of operations — so
-        # cached estimates are bit-identical to uncached ones.
-        rng = np.random.default_rng((self.seed, object_id))
-        points = density.region.sample(self.n_samples, rng)
-        weights = density.density(points)
-        columns = tuple(points[:, axis] for axis in range(points.shape[1]))
-        return ObjectSamples(
-            points=points,
-            weights=weights,
-            total=float(weights.sum()),
-            columns=columns,
-            density_ref=weakref.ref(density),
-        )
+        # Exactly the draw the uncached estimator makes, so cached
+        # estimates are bit-identical to uncached ones.
+        return draw_samples(density, self.n_samples, self.seed, object_id)
 
     def prewarm(self, pairs) -> int:
         """Draw (and retain) the cloud for every ``(density, object_id)`` pair.
@@ -256,24 +300,20 @@ class SampleCache:
 
         The process executor passes
         :meth:`repro.storage.shm.SharedArena.share_array`; afterwards the
-        points/weights of each retained :class:`ObjectSamples` live in
-        shared anonymous mappings, so forked workers read one physical
-        copy.  Column views are rebuilt against the shared points buffer;
-        totals and density refs are preserved, so estimates remain
-        bit-identical.  Returns the number of clouds rebound.
+        column buffer and weights of each retained :class:`ObjectSamples`
+        live in shared anonymous mappings, so forked workers read one
+        physical copy.  The ``(d, n1)`` column buffer is shared as it is
+        (already C-contiguous), so workers keep contiguous columns and
+        ``points`` stays a view of it.  Totals and density refs are
+        preserved, so estimates remain bit-identical.  Returns the
+        number of clouds rebound.
         """
         with self._lock:
             for oid, entry in list(self._entries.items()):
-                points = share(entry.points)
-                weights = share(entry.weights)
-                columns = tuple(
-                    points[:, axis] for axis in range(points.shape[1])
-                )
                 self._entries[oid] = ObjectSamples(
-                    points=points,
-                    weights=weights,
+                    columns=share(entry.columns),
+                    weights=share(entry.weights),
                     total=entry.total,
-                    columns=columns,
                     density_ref=entry.density_ref,
                 )
             return len(self._entries)
@@ -354,17 +394,10 @@ class AppearanceEstimator:
         """The object's sample cloud — cached when a cache is attached."""
         if self.cache is not None:
             return self.cache.get(density, object_id)
-        rng = np.random.default_rng((self.seed, object_id))
-        points = density.region.sample(self.n_samples, rng)
-        weights = density.density(points)
-        return ObjectSamples(points=points, weights=weights, total=float(weights.sum()))
+        return draw_samples(density, self.n_samples, self.seed, object_id)
 
     def _integrate(self, density: Density, query: Rect, object_id: int) -> float:
-        samples = self.samples_for(density, object_id)
-        if samples.total <= 0.0:
-            return 0.0
-        inside = query.contains_points(samples.points)
-        return float(samples.weights[inside].sum()) / samples.total
+        return mask_reduce(self.samples_for(density, object_id), query)
 
 
 def estimate_appearance_probability(

@@ -114,13 +114,16 @@ class BallRegion(UncertaintyRegion):
             raise ValueError("radius must be positive")
         self.center = c
         self.radius = float(radius)
+        # Computed once, as BoxRegion does: refinement asks every refined
+        # pair for its MBR.
+        self._mbr = Rect.from_center(c, self.radius)
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def mbr(self) -> Rect:
-        return Rect.from_center(self.center, self.radius)
+        return self._mbr
 
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius ** self.dim

@@ -478,6 +478,82 @@ class TestUpdates:
         assert len(db) == 11
 
 
+class TestMemoryBounds:
+    """Long-lived databases keep neither every P_app nor every deleted object."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_memo_stays_bounded_over_many_runs(self, executor):
+        from repro.exec.batch import MEMO_CAP
+
+        rng = np.random.default_rng(8)
+        centres = rng.uniform(0, 10_000, (400, 2))
+        config = ExecConfig(
+            mc_samples=64,
+            executor=executor,
+            parallelism=2 if executor == "process" else 1,
+        )
+        query_rng = np.random.default_rng(9)
+        computed = largest_batch = 0
+        with Database.create(
+            [_disk(i, centres[i]) for i in range(400)], config
+        ) as db:
+            for k in range(4000):
+                rect = Rect.from_center(query_rng.uniform(0, 10_000, 2), 1000.0)
+                batch = db.run([RangeSpec(rect, 0.5)]).batch
+                computed += batch.prob_computations
+                largest_batch = max(largest_batch, batch.prob_computations)
+                if k % 250 == 249 or k == 3999:
+                    (executor_,) = db._batch_executors.values()
+                    # Each memo is trimmed when its next batch starts, so
+                    # it holds at most its share of the cap plus one
+                    # batch (one memo per process worker).
+                    bound = MEMO_CAP + config.parallelism * largest_batch
+                    assert executor_.memo_size <= bound
+        assert computed > MEMO_CAP * 3 // 2  # the cap was reached and held
+
+    def test_deleted_payload_released_with_reclaim_off(self):
+        import gc
+        import weakref
+
+        rng = np.random.default_rng(4)
+        centres = rng.uniform(0, 10_000, (60, 2))
+        objects = [_disk(i, centres[i]) for i in range(60)]
+        # UncertainObject has no weakref slot; its pdf is referenced only
+        # through the object (the sample cache holds it weakly).
+        deleted = [weakref.ref(obj.pdf) for obj in objects[:10]]
+        db = Database.create(objects, ExecConfig(mc_samples=200))
+        del objects
+        for i in range(10):
+            spec = RangeSpec(Rect.from_center(centres[i], 300.0), 0.5)
+            db.run([spec])
+            db.delete(i)
+            db.insert(_disk(i, centres[i] + 40.0))
+            db.run([spec])
+        gc.collect()
+        assert all(ref() is None for ref in deleted)
+        data_file = db.access_method().data_file
+        # The paper's append-only accounting, equal to the build that
+        # kept every deleted payload: reads, writes, records (deleted
+        # ones included), live bytes, file size, pages, releases.
+        assert (
+            data_file.io.reads,
+            data_file.io.writes,
+            data_file.record_count,
+            data_file.live_bytes,
+            data_file.size_bytes,
+            data_file.page_count,
+            data_file.released_slots,
+            data_file.free_slots,
+        ) == (192, 140, 70, 4760, 8192, 2, 0, 0)
+        # Out-of-band iteration (worker prewarm) sees live objects only.
+        live = [
+            obj
+            for page_id in range(data_file.page_count)
+            for obj in data_file.peek_page(page_id)
+        ]
+        assert sorted(obj.oid for obj in live) == list(range(60))
+
+
 class TestSaveOpen:
     def test_monolithic_round_trip_preserves_answers_and_config(self, tmp_path):
         config = ExecConfig(mc_samples=N_SAMPLES, seed=SEED, filter_kernel="on")

@@ -18,11 +18,13 @@ from repro.core.utree import UTree
 from repro.exec import BatchExecutor, RefinementEngine, execute_query
 from repro.exec.executor import QueryExecutor
 from repro.geometry.rect import Rect
+from repro.storage.shm import SharedArena
 from repro.uncertainty.montecarlo import AppearanceEstimator, SampleCache
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.pdfs import (
     ConstrainedGaussianDensity,
     MixtureDensity,
+    RadialExponentialDensity,
     UniformDensity,
     zipf_histogram,
 )
@@ -469,3 +471,94 @@ class TestParallelBatchExecutor:
         assert second.batch.sample_cache_misses == 0
         assert second.batch.sample_cache_hits > 0
         assert second.batch.sample_cache_hit_rate == 1.0
+
+
+class TestColumnLayout:
+    """Clouds are stored column-major: one contiguous ``(d, n1)`` buffer."""
+
+    @staticmethod
+    def _assert_layout(samples, n_samples: int, dim: int) -> None:
+        assert samples.columns.shape == (dim, n_samples)
+        for column in samples.columns:
+            assert column.flags["C_CONTIGUOUS"]
+        assert samples.points.shape == (n_samples, dim)
+        assert np.shares_memory(samples.points, samples.columns[0])
+        # points is a view of the column buffer, never a second copy.
+        assert samples.nbytes == 8 * n_samples * dim + samples.weights.nbytes
+
+    def test_layout_before_and_after_rebind(self, zoo):
+        cache = SampleCache(N_SAMPLES, SEED)
+        cache.prewarm((obj.pdf, obj.oid) for obj in zoo)
+        before = {obj.oid: cache.get(obj.pdf, obj.oid) for obj in zoo}
+        for samples in before.values():
+            self._assert_layout(samples, N_SAMPLES, 2)
+        resident = cache.resident_bytes
+        arena = SharedArena()
+        try:
+            assert cache.rebind_resident(arena.share_array) == len(zoo)
+            for obj in zoo:
+                after = cache.get(obj.pdf, obj.oid)
+                self._assert_layout(after, N_SAMPLES, 2)
+                assert after.nbytes == before[obj.oid].nbytes
+                assert np.array_equal(after.columns, before[obj.oid].columns)
+            assert cache.resident_bytes == resident
+        finally:
+            arena.close()
+
+    def test_uncached_draw_shares_the_layout(self, zoo):
+        estimator = AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED)
+        cache = SampleCache(N_SAMPLES, SEED)
+        for obj in zoo:
+            drawn = estimator.samples_for(obj.pdf, obj.oid)
+            self._assert_layout(drawn, N_SAMPLES, 2)
+            cached = cache.get(obj.pdf, obj.oid)
+            assert np.array_equal(drawn.columns, cached.columns)
+            assert drawn.total == cached.total
+
+
+# P_app on one partial-overlap rectangle per pdf family, recorded with
+# the row-major (n1, d) mask that preceded the column layout: the layout
+# must not move a single bit.
+_PINNED_PAPP = [
+    0.5153333333333334,  # uniform, ball
+    0.4853333333333334,  # uniform, box
+    0.6623105375411501,  # constrained Gaussian, ball
+    0.6810510141812459,  # constrained Gaussian, box
+    0.385842573833483,  # Zipf histogram, box
+    0.6404026628882257,  # uniform + Gaussian mixture, box
+    0.6684794315255458,  # radial exponential, ball
+]
+
+
+class TestPinnedEstimates:
+    def test_engine_and_estimator_equal_recorded_values(self, zoo):
+        objects = zoo[:6] + [
+            UncertainObject(
+                99,
+                RadialExponentialDensity(
+                    BallRegion([5000.0, 5000.0], 260.0), scale=100.0
+                ),
+            )
+        ]
+        estimator = AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED)
+        engine = RefinementEngine(n_samples=N_SAMPLES, seed=SEED)
+        for obj, pinned in zip(objects, _PINNED_PAPP, strict=True):
+            rect = Rect.from_center(obj.mbr.center + np.array([120.0, -80.0]), 200.0)
+            assert engine.estimate(obj, rect) == pinned
+            assert estimator.estimate(obj.pdf, rect, object_id=obj.oid) == pinned
+            assert engine.estimate_batch([(obj, rect), (obj, rect)]) == [pinned] * 2
+
+    def test_three_dimensional_cloud(self):
+        obj = UncertainObject(
+            7,
+            ConstrainedGaussianDensity(
+                BallRegion([5000.0, 5000.0, 5000.0], 260.0), sigma=120.0
+            ),
+        )
+        rect = Rect.from_center([5120.0, 4920.0, 5050.0], 200.0)
+        estimator = AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED)
+        engine = RefinementEngine(n_samples=N_SAMPLES, seed=SEED)
+        pinned = 0.6405798255469509
+        assert estimator.estimate(obj.pdf, rect, object_id=obj.oid) == pinned
+        assert engine.estimate(obj, rect) == pinned
+        assert engine.cache.get(obj.pdf, obj.oid).columns.shape == (3, N_SAMPLES)

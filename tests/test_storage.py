@@ -100,7 +100,7 @@ class TestDataFileReclaim:
         addr = df.append("a", 40)
         io.reset()
         assert df.release(addr) is False
-        assert df.read(addr) == "a"  # record untouched
+        assert df.read(addr) is None  # slot kept, payload dropped
         assert (df.record_count, df.free_slots) == (1, 0)
         assert io.writes == 0
 
