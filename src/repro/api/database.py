@@ -720,6 +720,9 @@ class Database:
             outcomes[name] = m.delete(oid)
             if outcomes[name]:
                 self._bump_member(name, m)
+                # The deleted object's cloud can never hit again; drop it
+                # now rather than when the LRU gets round to it.
+                RefinementEngine.for_method(m).cache.invalidate(oid)
         if len(outcomes) == 1:
             return next(iter(outcomes.values()))
         return outcomes

@@ -276,20 +276,10 @@ class RStarEngine:
 
         if node.level == 1:
             # Children are leaves: minimise summed overlap enlargement
-            # (ties: area enlargement, then area), per the R* rule.
-            n = node.size
-            best = -1
-            best_key: tuple[float, float, float] | None = None
-            for i in range(n):
-                mask = np.arange(n) != i
-                others = stacked[mask]
-                before = metrics.summed_overlap_with_each(stacked[i], others).sum()
-                after = metrics.summed_overlap_with_each(enlarged[i], others).sum()
-                key = (after - before, area_enl[i], areas_before[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = i
-            return best
+            # (ties: area enlargement, then area), per the R* rule.  The
+            # lexsort is stable, so exact ties go to the lowest index.
+            overlap_enl = metrics.summed_overlap_enlargements(stacked, enlarged)
+            return int(np.lexsort((areas_before, area_enl, overlap_enl))[0])
 
         order = np.lexsort((areas_before, area_enl))
         return int(order[0])

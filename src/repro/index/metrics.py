@@ -16,7 +16,8 @@ __all__ = [
     "summed_areas",
     "summed_margins",
     "summed_area_enlargements",
-    "summed_overlap_with_each",
+    "pairwise_summed_overlaps",
+    "summed_overlap_enlargements",
     "summed_centroid_distances",
     "union_with",
 ]
@@ -56,12 +57,45 @@ def summed_area_enlargements(stacked: np.ndarray, profile: np.ndarray) -> np.nda
     return summed_areas(enlarged) - summed_areas(stacked)
 
 
-def summed_overlap_with_each(profile: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Summed overlap of one profile against each stacked entry, shape ``(n,)``."""
-    lo = np.maximum(stacked[:, :, 0, :], profile[None, :, 0, :])
-    hi = np.minimum(stacked[:, :, 1, :], profile[None, :, 1, :])
-    widths = np.maximum(hi - lo, 0.0)
-    return np.prod(widths, axis=2).sum(axis=1)
+def pairwise_summed_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Summed overlap of every ``a[i]`` with every ``b[j]``, shape ``(n, m)``.
+
+    Each axis is staged as contiguous ``(n, L)`` / ``(m, L)`` columns and
+    broadcast to ``(n, m, L)`` widths; the axes multiply in order
+    ``0..d-1`` (as ``np.prod`` over ``d`` does) and the contiguous layer
+    axis is summed last, so every cell is bit-identical to the summed
+    overlap of that one pair computed on its own.
+    """
+    product = None
+    for k in range(a.shape[3]):
+        a_lo = np.ascontiguousarray(a[:, :, 0, k])
+        a_hi = np.ascontiguousarray(a[:, :, 1, k])
+        b_lo = np.ascontiguousarray(b[:, :, 0, k])
+        b_hi = np.ascontiguousarray(b[:, :, 1, k])
+        widths = np.minimum(a_hi[:, None, :], b_hi[None, :, :])
+        widths -= np.maximum(a_lo[:, None, :], b_lo[None, :, :])
+        np.maximum(widths, 0.0, out=widths)
+        if product is None:
+            product = widths
+        else:
+            product *= widths
+    return product.sum(axis=2)
+
+
+def summed_overlap_enlargements(stacked: np.ndarray, enlarged: np.ndarray) -> np.ndarray:
+    """How much each entry's summed overlap with the *other* entries grows
+    when it becomes ``enlarged[i]``, shape ``(n,)``.
+
+    The diagonal is dropped row by row (``M[~eye].reshape(n, n - 1)``), so
+    row ``i`` sums the overlaps with ``j = 0..n-1, j != i`` in ascending
+    order, contiguously: the same floats in the same order as summing the
+    overlaps with ``stacked[j != i]`` one entry at a time.
+    """
+    n = stacked.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    before = pairwise_summed_overlaps(stacked, stacked)[off_diagonal].reshape(n, n - 1)
+    after = pairwise_summed_overlaps(enlarged, stacked)[off_diagonal].reshape(n, n - 1)
+    return after.sum(axis=1) - before.sum(axis=1)
 
 
 def summed_centroid_distances(stacked: np.ndarray, profile: np.ndarray) -> np.ndarray:

@@ -553,6 +553,30 @@ class TestMemoryBounds:
         ]
         assert sorted(obj.oid for obj in live) == list(range(60))
 
+    def test_delete_drops_cached_cloud(self):
+        import gc
+
+        from repro.exec.refine import RefinementEngine
+
+        rng = np.random.default_rng(12)
+        centres = rng.uniform(0, 10_000, (200, 2))
+        db = Database.create([_disk(i, centres[i]) for i in range(200)], ExecConfig())
+        for i in range(200):
+            db.run([RangeSpec(Rect.from_center(centres[i], 300.0), 0.5)])
+        cache = RefinementEngine.for_method(db.access_method()).cache
+        resident_before = cache.resident_bytes
+        assert len(cache) > 0
+        for i in range(0, 200, 2):
+            assert db.delete(i)
+        gc.collect()
+        with cache._lock:
+            entries = list(cache._entries.items())
+        assert entries
+        assert all(samples.density_ref() is not None for __, samples in entries)
+        assert all(oid % 2 == 1 for oid, __ in entries)
+        assert cache.resident_bytes < resident_before
+        assert cache.resident_bytes == sum(samples.nbytes for __, samples in entries)
+
 
 class TestSaveOpen:
     def test_monolithic_round_trip_preserves_answers_and_config(self, tmp_path):

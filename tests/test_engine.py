@@ -8,14 +8,21 @@ recall/precision of guided traversal against brute force.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.upcr import UPCRTree
+from repro.core.utree import UTree
 from repro.geometry.rect import Rect
+from repro.index import metrics
 from repro.index.engine import RStarEngine
+from repro.index.node import Entry, Node
 from repro.storage.layout import NodeLayout
+from tests.conftest import make_mixed_objects
 
 
 def tiny_layout(entries_per_node: int = 4) -> NodeLayout:
@@ -51,6 +58,146 @@ def random_profile(rng, layers: int, d: int = 2, linear: bool = False):
         profile[j, 0] = lo + shrink
         profile[j, 1] = lo + extent - shrink
     return profile
+
+
+def overlap_enlargements_loop(stacked: np.ndarray, enlarged: np.ndarray) -> np.ndarray:
+    """Reference summed overlap enlargements, one child at a time: for
+    each child ``i`` sum its overlap with every other child before and
+    after it becomes ``enlarged[i]``."""
+
+    def overlap_with_each(one: np.ndarray, others: np.ndarray) -> np.ndarray:
+        lo = np.maximum(others[:, :, 0, :], one[None, :, 0, :])
+        hi = np.minimum(others[:, :, 1, :], one[None, :, 1, :])
+        widths = np.maximum(hi - lo, 0.0)
+        return np.prod(widths, axis=2).sum(axis=1)
+
+    n = len(stacked)
+    out = np.empty(n)
+    for i in range(n):
+        others = stacked[np.arange(n) != i]
+        before = overlap_with_each(stacked[i], others).sum()
+        after = overlap_with_each(enlarged[i], others).sum()
+        out[i] = after - before
+    return out
+
+
+def choose_subtree_loop(stacked: np.ndarray, profile: np.ndarray) -> int:
+    """Reference R* level-1 choice as a plain loop: the least (overlap
+    enlargement, area enlargement, area) key wins, ties to the lowest
+    index.  The engine computes the same pick from two pairwise overlap
+    matrices and one lexsort."""
+    enlarged = metrics.union_with(stacked, profile)
+    overlap_enl = overlap_enlargements_loop(stacked, enlarged)
+    areas_before = metrics.summed_areas(stacked)
+    area_enl = metrics.summed_areas(enlarged) - areas_before
+    best = -1
+    best_key: tuple[float, float, float] | None = None
+    for i in range(len(stacked)):
+        key = (overlap_enl[i], area_enl[i], areas_before[i])
+        if best_key is None or key < best_key:
+            best_key = key
+            best = i
+    return best
+
+
+def grid_profile(rng, layers: int, d: int) -> np.ndarray:
+    """A profile on a coarse integer grid, so that float ties are common."""
+    lo = rng.integers(0, 12, d).astype(float)
+    extent = rng.integers(0, 6, d).astype(float)
+    profile = np.empty((layers, 2, d))
+    for j in range(layers):
+        shrink = np.floor(j * extent / (2 * layers))
+        profile[j, 0] = lo + shrink
+        profile[j, 1] = lo + extent - shrink
+    return profile
+
+
+@st.composite
+def level1_choices(draw):
+    """A level-1 node's stacked child profiles plus a profile to insert,
+    with ties planted on purpose."""
+    n = draw(st.integers(min_value=2, max_value=61))
+    d = draw(st.sampled_from([1, 2, 3]))
+    layers = draw(st.sampled_from([1, 15]))
+    tie = draw(st.sampled_from(["none", "duplicates", "inside", "zero-width", "identical"]))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def make():
+        if grid:
+            return grid_profile(rng, layers, d)
+        return random_profile(rng, layers, d)
+
+    stacked = np.stack([make() for _ in range(n)])
+    profile = make()
+    if tie == "duplicates":
+        for k in range(1, n):
+            if rng.random() < 0.5:
+                stacked[k] = stacked[rng.integers(0, k)]
+    elif tie == "inside":
+        # Several children contain the new profile on every layer: none of
+        # them grows, so their overlap and area enlargements are all zero.
+        for k in rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False):
+            pad = rng.integers(0, 3, size=(2, d)).astype(float)
+            stacked[k, :, 0] = profile[:, 0] - pad[0]
+            stacked[k, :, 1] = profile[:, 1] + pad[1]
+    elif tie == "zero-width":
+        for k in range(n):
+            if rng.random() < 0.5:
+                axis = int(rng.integers(0, d))
+                stacked[k, :, 1, axis] = stacked[k, :, 0, axis]
+        if rng.random() < 0.5:
+            profile[:, 1, 0] = profile[:, 0, 0]
+    elif tie == "identical":
+        stacked[:] = stacked[0]
+    return stacked, profile
+
+
+def level1_node(stacked: np.ndarray) -> Node:
+    node = Node(level=1, page_id=0)
+    node.entries = [Entry(p, child=Node(0, k + 1)) for k, p in enumerate(stacked)]
+    return node
+
+
+class TestLevel1Choice:
+    @given(level1_choices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        stacked, profile = case
+        __, layers, __, d = stacked.shape
+        engine = RStarEngine(d, layers, tiny_layout())
+        got = engine._choose_subtree(level1_node(stacked), profile)
+        assert got == choose_subtree_loop(stacked, profile)
+        # Not just the same pick: the same floats, bit for bit.
+        enlarged = metrics.union_with(stacked, profile)
+        assert np.array_equal(
+            metrics.summed_overlap_enlargements(stacked, enlarged),
+            overlap_enlargements_loop(stacked, enlarged),
+        )
+
+    def test_matches_loop_oracle_on_every_build_choice(self):
+        """Every level-1 choice of a deep U-tree build (forced reinserts
+        and condense included) equals the loop's pick."""
+        tree = UTree(2, page_size=1024)
+        engine = tree.engine
+        choose = engine._choose_subtree
+        checked = [0]
+
+        def checked_choose(node, profile):
+            got = choose(node, profile)
+            if node.level == 1:
+                assert got == choose_subtree_loop(node.stacked_profiles(), profile)
+                checked[0] += 1
+            return got
+
+        engine._choose_subtree = checked_choose
+        objects = make_mixed_objects(120, seed=9)
+        for obj in objects:
+            tree.insert(obj)
+        for obj in objects[::4]:
+            tree.delete(obj.oid)
+        assert engine.height >= 3
+        assert checked[0] > len(objects)
 
 
 class TestSingleLayerEngine:
@@ -269,3 +416,43 @@ class TestIOAccounting:
         visit(engine.root)
         assert counted[0] == engine.node_count
         assert engine.size_bytes == engine.node_count * 4096
+
+
+def leaf_oid_digest(engine: RStarEngine) -> str:
+    """Digest of the sorted per-leaf sorted oid sets: the tree's partition."""
+    leaves = []
+    stack = [engine.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(tuple(sorted(e.data.oid for e in node.entries)))
+        else:
+            stack.extend(e.child for e in node.entries)
+    return hashlib.sha256(repr(sorted(leaves)).encode()).hexdigest()[:16]
+
+
+class TestPinnedShape:
+    """Exact tree shapes of a seeded build, recorded before the level-1
+    choose-subtree rule was vectorised.  Small pages make the trees three
+    and four levels deep, so non-root level-1 nodes, forced reinserts and
+    condense all run; any change in a single subtree pick moves a leaf's
+    oid set and with it the digest."""
+
+    @pytest.mark.parametrize(
+        "cls, page_size, node_count, height, digest",
+        [
+            (UTree, 1024, 59, 3, "26e03cfb3ff1b7fa"),
+            (UPCRTree, 2048, 71, 4, "6f5e77b87b28a7a9"),
+        ],
+    )
+    def test_shape_matches_recorded(self, cls, page_size, node_count, height, digest):
+        objects = make_mixed_objects(240, seed=7)
+        tree = cls(2, page_size=page_size)
+        for obj in objects:
+            tree.insert(obj)
+        for obj in objects[::5]:
+            tree.delete(obj.oid)
+        tree.check_invariants()
+        assert tree.engine.height >= 3
+        assert (tree.engine.node_count, tree.engine.height) == (node_count, height)
+        assert leaf_oid_digest(tree.engine) == digest

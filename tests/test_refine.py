@@ -135,13 +135,14 @@ class TestBitIdentity:
         assert batched == expected
 
     def test_batch_spans_chunk_boundary(self, zoo):
-        """More rectangles than one mask chunk still matches exactly."""
+        """Hundreds of rectangles over one cloud, each reduced on its own
+        column pass, still match the scalar estimator exactly."""
         obj = zoo[0]
         rng = np.random.default_rng(41)
         centre = obj.mbr.center
         rects = [
             Rect.from_center(centre + rng.uniform(-300, 300, 2), 200.0)
-            for _ in range(300)  # > _RECT_CHUNK
+            for _ in range(300)
         ]
         estimator = AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED)
         engine = RefinementEngine(n_samples=N_SAMPLES, seed=SEED)
