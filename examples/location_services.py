@@ -13,8 +13,8 @@ This example runs the scenario the way a deployment would: one
 (in-process, ephemeral port), a *writer* wire client streams the
 threshold-triggered re-reports, and several concurrent *dispatcher app*
 clients — one per city district — fire their range queries together
-each epoch.  Requests landing in the same batch window are answered as
-one engine batch (watch ``cross_client_batches`` in the closing stats),
+each epoch.  Requests that queue while the engine is busy are answered
+as one engine batch (watch ``cross_client_batches`` in the closing stats),
 and the latency summary shows what each app actually waited.
 
 Run:  python examples/location_services.py
@@ -66,9 +66,9 @@ def main() -> None:
 
     db = Database.create(
         [make_client(oid, reported[oid]) for oid in range(N_CLIENTS)],
-        # A short batch window is enough: the district apps fire
-        # together, so their queries coalesce into one engine batch.
-        ExecConfig(mc_samples=6_000, seed=3, batch_window_ms=8.0),
+        # The district apps fire together, so queries that queue behind
+        # a running batch coalesce into the next engine batch.
+        ExecConfig(mc_samples=6_000, seed=3),
     )
 
     names = list(DISTRICTS)

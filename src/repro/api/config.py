@@ -125,12 +125,6 @@ class ExecConfig:
             requests pending beyond this are shed with a typed ``BUSY``
             reply instead of growing an unbounded backlog.  Environment
             default via ``REPRO_MAX_INFLIGHT``.
-        batch_window_ms: how long the server's dispatcher holds the
-            first request of a batch open for companion requests from
-            other clients (cross-client batch forming — shared pages
-            and repeated rectangles are then paid for once per batch).
-            ``0`` still coalesces whatever is already queued.
-            Environment default via ``REPRO_BATCH_WINDOW_MS``.
         page_size: simulated page size in bytes.
         mc_samples: Monte-Carlo samples per P_app evaluation.
         seed: base RNG seed; per-object streams derive from
@@ -160,7 +154,6 @@ class ExecConfig:
     serve_host: str = "127.0.0.1"
     serve_port: int = 0
     max_inflight: int = 64
-    batch_window_ms: float = 2.0
     page_size: int = 4096
     mc_samples: int = 10_000
     seed: int = 0
@@ -210,8 +203,6 @@ class ExecConfig:
             raise ValueError("serve_port must be in [0, 65535] (0 = ephemeral)")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         if self.page_size < 256:
             raise ValueError("page_size must be at least 256 bytes")
         if self.mc_samples < 1:
@@ -269,9 +260,6 @@ class ExecConfig:
         inflight = repro_env.env_value("REPRO_MAX_INFLIGHT")
         if inflight is not None and inflight.strip():
             fields["max_inflight"] = int(inflight)
-        window = repro_env.env_value("REPRO_BATCH_WINDOW_MS")
-        if window is not None and window.strip():
-            fields["batch_window_ms"] = float(window)
         fields.update(overrides)
         return cls(**fields)
 

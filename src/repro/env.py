@@ -47,7 +47,6 @@ KNOWN_ENV_KEYS: dict[str, str] = {
     "REPRO_SERVE_HOST": "query-service bind address (ExecConfig.serve_host)",
     "REPRO_SERVE_PORT": "query-service TCP port, 0 = ephemeral (ExecConfig.serve_port)",
     "REPRO_MAX_INFLIGHT": "query-service admission bound (ExecConfig.max_inflight)",
-    "REPRO_BATCH_WINDOW_MS": "cross-client batch-forming window ms (ExecConfig.batch_window_ms)",
     "REPRO_FAULT_EXHAUSTIVE": "exhaustive end-to-end crash sweep in the fault suite",
     "REPRO_SKIP_PERF_ASSERT": "skip wall-clock perf contracts (CI correctness matrix)",
     "REPRO_BENCH_SAMPLES": "Monte-Carlo budget for benchmark smoke runs",

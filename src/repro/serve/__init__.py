@@ -5,7 +5,7 @@ Serve a :class:`~repro.api.Database` to many concurrent clients::
     from repro import Database, ExecConfig, RangeSpec, Rect
     from repro.serve import QueryServer, ServeClient
 
-    db = Database.create(objects, ExecConfig(batch_window_ms=5.0))
+    db = Database.create(objects, ExecConfig(max_inflight=64))
     with QueryServer(db) as server:                  # port 0 = ephemeral
         with ServeClient(*server.address) as client:
             result = client.query(RangeSpec(Rect([0, 0], [5e3, 5e3]), 0.8))

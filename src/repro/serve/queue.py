@@ -1,10 +1,13 @@
 """Admission control: cross-client batch forming in front of one engine.
 
 The server's whole throughput story lives here.  Every client request
-lands in one bounded queue; a single dispatcher thread collects whatever
-arrives within a ``batch_window_ms`` window, groups compatible requests
-(same per-client config overlay), and submits each group as **one**
-:meth:`repro.api.Database.run` batch.  The existing
+lands in one bounded queue; a single dispatcher thread takes the first
+pending request, sweeps in whatever else is already queued, groups
+compatible requests (same per-client config overlay), and submits each
+group as **one** :meth:`repro.api.Database.run` batch.  There is no
+timed wait: an idle engine serves a lone request at once, and requests
+that arrive while a batch runs are swept into the next one (the
+group-commit rule of DeWitt et al., SIGMOD 1984).  The existing
 :class:`~repro.exec.batch.BatchExecutor` then does what it has done
 since PR 1 — fetch each candidate data page once for the whole batch and
 memoise ``(address, rect)`` appearance probabilities — except the
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import queue as _queue
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.api.specs import QuerySpec, RangeSpec, Result
@@ -178,30 +180,14 @@ class AdmissionQueue:
         db: the served :class:`~repro.api.Database`.
         lock: the server's :class:`ReadWriteLock` (read side here).
         max_inflight: pending-request bound; beyond it :meth:`submit`
-            raises :class:`QueueFull`.
-        batch_window_ms: how long the dispatcher holds the *first*
-            request of a batch open for companions.  ``0`` still
-            coalesces whatever is already queued (no artificial delay).
-        clock: monotonic time source (tests inject a fake).
+            raises :class:`QueueFull`.  It also caps one batch's sweep.
     """
 
-    def __init__(
-        self,
-        db,
-        lock: ReadWriteLock,
-        *,
-        max_inflight: int = 64,
-        batch_window_ms: float = 2.0,
-        clock=time.monotonic,
-    ):
+    def __init__(self, db, lock: ReadWriteLock, *, max_inflight: int = 64):
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         self._db = db
         self._lock = lock
-        self._window = batch_window_ms / 1000.0
-        self._clock = clock
         self._pending: _queue.Queue = _queue.Queue(maxsize=max_inflight)
         self._closed = False
         self._stop_after_batch = False
@@ -263,47 +249,34 @@ class AdmissionQueue:
     # ------------------------------------------------------------------
     # dispatcher side
     # ------------------------------------------------------------------
-    def _collect_window(self, first: PendingRequest) -> list[PendingRequest]:
-        """The batch-forming wait: hold the window open for companions.
+    def _sweep(self, first: PendingRequest) -> list[PendingRequest]:
+        """``first`` plus whatever is already queued, without waiting.
 
-        Once the window closes, whatever is already queued is still swept
-        in (no artificial delay, and a 0ms window still coalesces a
-        backlog); only then does the group go to execution.
+        Everything that queued while the previous batch ran joins this
+        one (up to ``max_inflight`` more); a shutdown sentinel ends the
+        sweep and stops the dispatcher after this batch.
         """
         group = [first]
-        cap = self._pending.maxsize  # bounds the post-window sweep
-        deadline = self._clock() + self._window
-        while True:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                while len(group) <= cap:
-                    try:
-                        nxt = self._pending.get_nowait()
-                    except _queue.Empty:
-                        return group
-                    if nxt is None:  # shutdown sentinel: stop after this batch
-                        self._stop_after_batch = True
-                        return group
-                    group.append(nxt)
-                return group
+        while len(group) <= self._pending.maxsize:
             try:
-                nxt = self._pending.get(timeout=remaining)
+                nxt = self._pending.get_nowait()
             except _queue.Empty:
-                return group
+                break
             if nxt is None:
                 self._stop_after_batch = True
-                return group
+                break
             group.append(nxt)
+        return group
 
     def _dispatch_loop(self) -> None:
         while True:
             first = self._pending.get()
             if first is None:
                 break
-            group = self._collect_window(first)
+            group = self._sweep(first)
             for key_group in self._split_by_overlay(group):
                 self._run_group(key_group)
-            if self._stop_after_batch:  # sentinel swept mid-window
+            if self._stop_after_batch:  # sentinel swept with the batch
                 break
         # Drain anything still queued after the sentinel with a typed
         # shutdown failure, so no client blocks forever.

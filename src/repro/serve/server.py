@@ -62,8 +62,6 @@ class QueryServer:
             ``serve_port`` (port 0 = ephemeral, read the resolved one
             from :attr:`port`).
         max_inflight: admission bound; default ``db.config.max_inflight``.
-        batch_window_ms: batch-forming window; default
-            ``db.config.batch_window_ms``.
         max_frame_bytes: largest accepted request frame.
     """
 
@@ -74,7 +72,6 @@ class QueryServer:
         host: str | None = None,
         port: int | None = None,
         max_inflight: int | None = None,
-        batch_window_ms: float | None = None,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
     ):
         config: ExecConfig = db.config
@@ -83,9 +80,6 @@ class QueryServer:
         self._requested_port = config.serve_port if port is None else port
         self._max_inflight = (
             config.max_inflight if max_inflight is None else max_inflight
-        )
-        self._batch_window_ms = (
-            config.batch_window_ms if batch_window_ms is None else batch_window_ms
         )
         self._max_frame_bytes = max_frame_bytes
         self.lock = ReadWriteLock()
@@ -120,10 +114,7 @@ class QueryServer:
                 raise RuntimeError("server is already started")
             self._started = True
         self.queue = AdmissionQueue(
-            self.db,
-            self.lock,
-            max_inflight=self._max_inflight,
-            batch_window_ms=self._batch_window_ms,
+            self.db, self.lock, max_inflight=self._max_inflight
         )
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -149,6 +140,12 @@ class QueryServer:
                 return
             self._stopping = True
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept loop exits at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # not supported for listeners everywhere
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - close is best-effort

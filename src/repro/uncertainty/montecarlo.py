@@ -25,6 +25,7 @@ the draw the estimator would have made.
 
 from __future__ import annotations
 
+import mmap
 import threading
 import time
 import weakref
@@ -50,8 +51,10 @@ __all__ = [
 class ObjectSamples:
     """One object's cached Monte-Carlo state: draw once, reuse forever.
 
-    The cloud is stored column-major: one C-contiguous ``(d, n1)`` buffer
-    whose rows are the per-axis coordinates.  :func:`mask_reduce` tests a
+    The cloud is stored column-major: ``columns`` is a C-contiguous
+    ``(d, n1)`` block whose rows are the per-axis coordinates, and
+    ``weights`` is the row after it in the same buffer (see
+    :func:`draw_samples`).  :func:`mask_reduce` tests a
     rectangle one axis at a time over those contiguous rows, which is
     several times faster than an ``(n1, d)`` row-major mask and selects
     the same samples in the same order.
@@ -86,6 +89,25 @@ class ObjectSamples:
         return self.columns.nbytes + self.weights.nbytes
 
 
+# Clouds of at least this many bytes get their own anonymous mapping.
+# glibc serves a block this size from the calling thread's malloc arena
+# once its adaptive mmap threshold has grown, and redrawing clouds on a
+# worker thread then fragments that arena: the serve dispatcher's RSS
+# grew ~1.5 MB per re-report round.  A mapping is returned to the kernel
+# whole when its last view is collected.  The floor keeps the live
+# mapping count under ``vm.max_map_count``: the 512 MB SampleCache
+# budget holds at most 8,192 clouds this large.
+MMAP_FLOOR_BYTES = 64 * 1024
+
+
+def _cloud_buffer(rows: int, n: int) -> np.ndarray:
+    """An uninitialised C-contiguous ``(rows, n)`` float64 buffer."""
+    nbytes = rows * n * 8
+    if nbytes < MMAP_FLOOR_BYTES:
+        return np.empty((rows, n))
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(rows, n)
+
+
 def draw_samples(
     density: Density, n_samples: int, seed: int, object_id: int
 ) -> ObjectSamples:
@@ -94,15 +116,22 @@ def draw_samples(
     The one draw behind both :class:`SampleCache` and the uncached
     :meth:`AppearanceEstimator.samples_for`.  Points are drawn and
     weighted row-major exactly as the region and density define them;
-    only then is the cloud restaged as its ``(d, n1)`` column buffer, so
-    weights and ``total`` do not depend on the layout.
+    only then are they copied into one ``(d + 1, n1)`` buffer whose first
+    ``d`` rows are ``columns`` and whose last row is ``weights``, so the
+    values (and ``total``) do not depend on the layout.  Clouds of at
+    least :data:`MMAP_FLOOR_BYTES` live in an anonymous mapping outside
+    the malloc heap.
     """
     rng = np.random.default_rng((seed, object_id))
     points = density.region.sample(n_samples, rng)
     weights = density.density(points)
+    dim = points.shape[1]
+    buffer = _cloud_buffer(dim + 1, len(weights))
+    buffer[:dim] = points.T
+    buffer[dim] = weights
     return ObjectSamples(
-        columns=np.ascontiguousarray(points.T),
-        weights=weights,
+        columns=buffer[:dim],
+        weights=buffer[dim],
         total=float(weights.sum()),
         density_ref=weakref.ref(density),
     )

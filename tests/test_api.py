@@ -12,6 +12,8 @@ The facade adds no third execution path — these tests keep it that way.
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -578,6 +580,50 @@ class TestMemoryBounds:
         assert cache.resident_bytes == sum(samples.nbytes for __, samples in entries)
 
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads Linux VmRSS"
+    )
+    def test_redrawn_clouds_do_not_grow_a_worker_thread_rss(self):
+        """Re-reports redraw clouds on the thread that runs the engine
+        (the serve dispatcher); those buffers must not fragment that
+        thread's malloc arena into steady RSS growth."""
+        rng = np.random.default_rng(3)
+        centres = rng.uniform(1000, 9000, (300, 2))
+        db = Database.create(
+            [_disk(i, centres[i]) for i in range(300)], ExecConfig(seed=1)
+        )
+        db.run([RangeSpec(Rect.from_center(c, 100.0), 0.5) for c in centres])
+        rss: dict[str, float] = {}
+
+        def re_reports():
+            step = np.random.default_rng(5)
+            for cycle in range(1500):
+                oid = int(step.integers(300))
+                db.delete(oid)
+                centres[oid] = np.clip(
+                    centres[oid] + step.normal(0.0, 150.0, 2), 500.0, 9500.0
+                )
+                db.insert(_disk(oid, centres[oid]))
+                db.run([RangeSpec(Rect.from_center(centres[oid], 400.0), 0.5)])
+                if cycle == 50:
+                    rss["warm"] = _vm_rss_mb()
+            rss["end"] = _vm_rss_mb()
+
+        worker = threading.Thread(target=re_reports)
+        worker.start()
+        worker.join()
+        db.close()
+        assert rss["end"] - rss["warm"] < 10.0, rss
+
+
+def _vm_rss_mb() -> float:
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError("no VmRSS line")
+
+
 class TestSaveOpen:
     def test_monolithic_round_trip_preserves_answers_and_config(self, tmp_path):
         config = ExecConfig(mc_samples=N_SAMPLES, seed=SEED, filter_kernel="on")
@@ -679,8 +725,8 @@ class TestSaveOpen:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_archive_with_retired_knobs_opens(self, tmp_path, shards):
         """Archives written while ExecConfig still carried auto_tune,
-        pool_policy, pool_probation and full_scale (and the meta a
-        "tuner" state) open with the same ids and P_app."""
+        pool_policy, pool_probation, full_scale and batch_window_ms (and
+        the meta a "tuner" state) open with the same ids and P_app."""
         import json
 
         from repro.api import database as database_module
@@ -692,9 +738,15 @@ class TestSaveOpen:
         with np.load(path) as archive:
             entries = {key: archive[key] for key in archive.files}
         meta = json.loads(str(entries[database_module._META_KEY]))
-        meta["config"].update(
-            auto_tune=True, pool_policy="2q", pool_probation=3, full_scale=True
+        retired = dict(
+            auto_tune=True,
+            pool_policy="2q",
+            pool_probation=3,
+            full_scale=True,
+            batch_window_ms=2.0,
         )
+        assert not set(retired) & {f.name for f in dataclasses.fields(ExecConfig)}
+        meta["config"].update(retired)
         meta["tuner"] = {
             "incumbent": {"parallelism": 2},
             "observations": 7,

@@ -10,6 +10,8 @@ layered on top of that guarantee.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from repro.exec import BatchExecutor, RefinementEngine, execute_query
 from repro.exec.executor import QueryExecutor
 from repro.geometry.rect import Rect
 from repro.storage.shm import SharedArena
-from repro.uncertainty.montecarlo import AppearanceEstimator, SampleCache
+from repro.uncertainty.montecarlo import (
+    MMAP_FLOOR_BYTES,
+    AppearanceEstimator,
+    SampleCache,
+    draw_samples,
+)
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.pdfs import (
     ConstrainedGaussianDensity,
@@ -563,3 +570,96 @@ class TestPinnedEstimates:
         assert estimator.estimate(obj.pdf, rect, object_id=obj.oid) == pinned
         assert engine.estimate(obj, rect) == pinned
         assert engine.cache.get(obj.pdf, obj.oid).columns.shape == (3, N_SAMPLES)
+
+
+def _backing(array: np.ndarray):
+    """The object that owns ``array``'s memory (an ndarray or an mmap)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    owner = array.base if array.base is not None else array
+    return owner.obj if isinstance(owner, memoryview) else owner
+
+
+# P_app of the zoo's first six objects for 10,000-sample clouds (above
+# the mapping floor), recorded while clouds were still malloc'd arrays:
+# moving them into anonymous mappings must not move a single bit.
+_PINNED_MAPPED_PAPP = [
+    0.5298,
+    0.49039999999999995,
+    0.6577582075101681,
+    0.6777111519301301,
+    0.40231960675115436,
+    0.6565878925488611,
+]
+
+
+class TestCloudPlacement:
+    """Clouds of 64 KiB or more live in one anonymous mapping each."""
+
+    @pytest.mark.parametrize("n_samples", [N_SAMPLES, 10_000])
+    def test_one_buffer_above_and_below_the_floor(self, zoo, n_samples):
+        obj = zoo[2]
+        samples = draw_samples(obj.pdf, n_samples, SEED, obj.oid)
+        columns, weights = samples.columns, samples.weights
+        assert columns.shape == (2, n_samples)
+        assert columns.flags["C_CONTIGUOUS"]
+        assert weights.flags["C_CONTIGUOUS"]
+        # weights is the row right after the columns in the same buffer.
+        assert _backing(weights) is _backing(columns)
+        assert (
+            weights.__array_interface__["data"][0]
+            == columns.__array_interface__["data"][0] + columns.nbytes
+        )
+        assert samples.nbytes == 8 * 3 * n_samples
+        mapped = isinstance(_backing(columns), mmap.mmap)
+        assert mapped == (samples.nbytes >= MMAP_FLOOR_BYTES)
+        assert mapped == (n_samples == 10_000)
+
+    def test_mapped_clouds_keep_every_estimate(self, zoo):
+        estimator = AppearanceEstimator(n_samples=10_000, seed=SEED)
+        engine = RefinementEngine(n_samples=10_000, seed=SEED)
+        for obj, pinned in zip(zoo[:6], _PINNED_MAPPED_PAPP, strict=True):
+            rect = Rect.from_center(obj.mbr.center + np.array([120.0, -80.0]), 200.0)
+            assert estimator.estimate(obj.pdf, rect, object_id=obj.oid) == pinned
+            assert engine.estimate(obj, rect) == pinned
+
+    def test_rebind_resident_moves_mapped_clouds(self, zoo, rects):
+        cache = SampleCache(10_000, SEED)
+        estimator = AppearanceEstimator(n_samples=10_000, seed=SEED, cache=cache)
+        cache.prewarm((obj.pdf, obj.oid) for obj in zoo)
+        baseline = [
+            estimator.estimate(obj.pdf, rect, object_id=obj.oid)
+            for obj in zoo
+            for rect in rects
+        ]
+        resident = cache.resident_bytes
+        arena = SharedArena()
+        try:
+            assert cache.rebind_resident(arena.share_array) == len(zoo)
+            assert cache.resident_bytes == resident
+            rebound = [
+                estimator.estimate(obj.pdf, rect, object_id=obj.oid)
+                for obj in zoo
+                for rect in rects
+            ]
+        finally:
+            arena.close()
+        assert rebound == baseline
+
+    def test_process_executor_prewarms_mapped_clouds(self, zoo, rects):
+        from repro.exec import ProcessBatchExecutor
+
+        def build():
+            tree = UTree(2, estimator=AppearanceEstimator(n_samples=4000, seed=SEED))
+            for obj in zoo:
+                tree.insert(obj)
+            return tree
+
+        queries = [ProbRangeQuery(rect, 0.3) for rect in rects]
+        serial = BatchExecutor(build()).run(queries)
+        with ProcessBatchExecutor(build(), workers=2, share_samples=True) as ex:
+            forked = ex.run(queries)
+        assert [a.object_ids for a in forked.answers] == [
+            a.object_ids for a in serial.answers
+        ]
+        assert forked.batch.sample_cache_misses == 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -58,7 +59,6 @@ def _range_specs():
 
 
 def _make_db(method="utree", *, kernel=True, shards=1, **overrides):
-    overrides.setdefault("batch_window_ms", 0.0)
     config = ExecConfig(
         mc_samples=N_SAMPLES,
         seed=SEED,
@@ -177,33 +177,51 @@ class TestWireEquivalence:
 
 class TestConcurrency:
     def test_cross_client_requests_form_one_batch(self):
-        db = _make_db("utree", batch_window_ms=150.0)
+        db = _make_db("utree")
         spec = _range_specs()[0]
         expected = db.query(spec).object_ids
         n_clients = 4
-        barrier = threading.Barrier(n_clients)
         answers = [None] * n_clients
 
         def worker(i, address):
             with ServeClient(*address) as client:
-                barrier.wait()
                 answers[i] = client.query(spec).object_ids
 
         with QueryServer(db) as server:
-            threads = [
-                threading.Thread(target=worker, args=(i, server.address))
-                for i in range(n_clients)
-            ]
-            for t in threads:
-                t.start()
+            # Hold the engine busy until every request is queued: the
+            # dispatcher must then sweep them into batches together.
+            with server.lock.write():
+                threads = [
+                    threading.Thread(target=worker, args=(i, server.address))
+                    for i in range(n_clients)
+                ]
+                for t in threads:
+                    t.start()
+                _wait_until(
+                    lambda: server.queue.stats()["requests"] >= n_clients,
+                    f"{n_clients} admitted requests",
+                )
             for t in threads:
                 t.join()
             stats = server.queue.stats()
         assert answers == [expected] * n_clients
-        # All four released together within one 150ms window: at least
-        # one batch must have coalesced requests from different clients.
+        # The first request's batch blocks on the lock; the three behind
+        # it queue meanwhile and are swept into the next batch together.
         assert stats["cross_client_batches"] >= 1
         assert stats["largest_batch_requests"] >= 2
+
+    def test_lone_client_gets_one_batch_per_request(self):
+        db = _make_db("utree")
+        specs = _range_specs()
+        with QueryServer(db) as server:
+            with ServeClient(*server.address) as client:
+                for _ in range(3):
+                    for spec in specs:
+                        client.query(spec)
+            stats = server.queue.stats()
+        assert stats["requests"] == 3 * len(specs)
+        assert stats["batches"] == stats["requests"]
+        assert stats["cross_client_batches"] == 0
 
     def test_snapshot_consistency_under_concurrent_writes(self):
         """Every served answer is a complete before- or after-write set."""
@@ -246,15 +264,14 @@ class TestConcurrency:
         assert torn == [], f"served a torn answer set: {torn}"
 
     def test_busy_shed_over_the_wire(self):
-        db = _make_db("utree", max_inflight=1, batch_window_ms=300.0)
+        db = _make_db("utree", max_inflight=1)
         spec = _range_specs()[1]
+        n_clients = 6
         outcomes: list[str] = []
         outcomes_lock = threading.Lock()
-        barrier = threading.Barrier(6)
 
         def worker(address):
             with ServeClient(*address) as client:
-                barrier.wait()
                 try:
                     client.run([spec])
                     outcome = "ok"
@@ -264,12 +281,20 @@ class TestConcurrency:
                 outcomes.append(outcome)
 
         with QueryServer(db) as server:
-            threads = [
-                threading.Thread(target=worker, args=(server.address,))
-                for _ in range(6)
-            ]
-            for t in threads:
-                t.start()
+            # With the engine held busy, at most one request waits in
+            # the dispatcher (blocked on the lock) and one fills the
+            # bound of one: the rest must be shed before it is released.
+            with server.lock.write():
+                threads = [
+                    threading.Thread(target=worker, args=(server.address,))
+                    for _ in range(n_clients)
+                ]
+                for t in threads:
+                    t.start()
+                _wait_until(
+                    lambda: _admitted_or_shed(server) >= n_clients,
+                    f"{n_clients} admitted or shed requests",
+                )
             for t in threads:
                 t.join()
             stats = server.queue.stats()
@@ -278,6 +303,20 @@ class TestConcurrency:
         assert "busy" in outcomes
         assert "ok" in outcomes
         assert stats["busy_rejections"] >= 1
+
+
+def _wait_until(predicate, what: str, timeout: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds (the engine is held busy meanwhile)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.005)
+
+
+def _admitted_or_shed(server) -> int:
+    stats = server.queue.stats()
+    return stats["requests"] + stats["busy_rejections"]
 
 
 # ----------------------------------------------------------------------
