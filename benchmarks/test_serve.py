@@ -2,8 +2,9 @@
 
 A location-service read trace — every request a prob-range query over a
 small pool of hot city rectangles — is replayed against one served
-:class:`~repro.api.Database` at several concurrent client counts, with
-simulated per-page disk latency.  The acceptance contract:
+:class:`~repro.api.Database` at several concurrent client counts.  The
+replay is CPU-only: it simulates no page latency.  The acceptance
+contract:
 
 * with eight synchronous wire clients, the admission queue forms
   cross-client batches: requests that queue while the engine runs a
@@ -17,8 +18,7 @@ Headline numbers (qps and p50/p99 request latency per client count, the
 8-over-1 qps ratio, queue stats) go to ``BENCH_serve.json`` (path
 overridable via ``REPRO_SERVE_ARTIFACT``) for the CI serve job.  The
 ratio is recorded, not asserted: a lone client is dispatched at once,
-and after warm-up this trace triggers no simulated page sleep, so the
-ratio depends on thread scheduling alone.
+so on this CPU-only replay the ratio depends on thread scheduling alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ N_HOT_RECTS = 10
 TOTAL_REQUESTS = 48  # split across the clients of each run
 CLIENT_COUNTS = (1, 2, 8)
 PAGE_SIZE = 512  # many small pages -> page dedup has something to win
-IO_LATENCY_SECONDS = 0.002
 ARTIFACT = env_value("REPRO_SERVE_ARTIFACT", "BENCH_serve.json")
 
 
@@ -85,7 +84,6 @@ def _build() -> Database:
         mc_samples=N_SAMPLES,
         seed=SEED,
         page_size=PAGE_SIZE,
-        io_latency_seconds=IO_LATENCY_SECONDS,
         max_inflight=64,
     )
     return Database.create(_objects(), config, methods=("utree",))
@@ -157,7 +155,6 @@ class TestServeLoadAcceptance:
                     "hot_rects": N_HOT_RECTS,
                     "total_requests": TOTAL_REQUESTS,
                     "page_size": PAGE_SIZE,
-                    "io_latency_seconds": IO_LATENCY_SECONDS,
                     "runs": {str(n): runs[n] for n in CLIENT_COUNTS},
                     "speedup_8_over_1": speedup,
                     "queue": queue_stats,

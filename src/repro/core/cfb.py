@@ -10,11 +10,18 @@ Fitting is a linear program per axis (the paper names Simplex, Section
 4.4): minimise the summed margin ``Σ_j MARGIN(cfb_out(p_j))`` subject to
 the containment constraints (inequalities 12-13), and maximise the inner
 margin subject to the reversed constraints plus the non-crossing
-constraint (inequality 14).  We solve these with the library's own
-two-phase simplex (:mod:`repro.lp.simplex`).
+constraint (inequality 14).  The fit is closed-form: every face is a
+2-variable LP whose optimum sits at a pairwise constraint intersection,
+and all ``4d`` faces of both CFBs are scored in one vectorised pass
+(:func:`_solve_faces`).  The library's own two-phase simplex
+(:mod:`repro.lp.simplex`) stays as ``method="simplex"``, the
+cross-checking oracle.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,14 @@ __all__ = [
 ]
 
 _SAFETY = 1e-9
+
+# The faces of both CFBs, stacked as rows of d: outer lower, outer upper,
+# inner lower, inner upper.  Sign +1: the face lies at or below its PCR
+# face (lower for even rows, upper for odd); -1: at or above it.
+_FACE_SIGNS = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_FACE_SIGNS.setflags(write=False)
+_FACE_SIDES = np.array([0, 1, 0, 1])
+_FACE_SIDES.setflags(write=False)
 
 
 class LinearBoxFunction:
@@ -123,27 +138,24 @@ def fit_outer_cfb(
     a pairwise constraint intersection); ``"simplex"`` uses the library's
     two-phase simplex, kept as a cross-checking oracle.
     """
-    catalog = pcrs.catalog
-    ps = catalog.values
-    w = _face_weights(weights, catalog.size)
-    d = pcrs.dim
-    intercept = np.empty((2, d))
-    slope = np.empty((2, d))
-
-    for axis in range(d):
-        lo_targets = pcrs.boxes[:, 0, axis]
-        hi_targets = pcrs.boxes[:, 1, axis]
-        wa = w if w.ndim == 1 else w[:, axis]
-        intercept[0, axis], slope[0, axis] = _fit_face(
-            ps, wa, lo_targets, side="lower", method=method
-        )
-        intercept[1, axis], slope[1, axis] = _fit_face(
-            ps, wa, hi_targets, side="upper", method=method
-        )
-
-    cfb = LinearBoxFunction(intercept, slope)
-    _repair_outer(cfb, pcrs)
-    return cfb
+    if method == "closed-form":
+        a, b, _ = _closed_form_faces(pcrs, weights)
+        a, b = a[:2], b[:2]
+    elif method == "simplex":
+        ps = pcrs.catalog.values
+        w_total, wp_total = _face_totals(weights, ps, pcrs.dim)
+        a = np.empty((2, pcrs.dim))
+        b = np.empty((2, pcrs.dim))
+        for axis in range(pcrs.dim):
+            for row, side in enumerate(("lower", "upper")):
+                bounds = (0.0, np.inf) if side == "lower" else (-np.inf, 0.0)
+                a[row, axis], b[row, axis] = _fit_face_simplex(
+                    ps, w_total[axis], wp_total[axis], pcrs.boxes[:, row, axis], side, bounds
+                )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    _repair(a, b, pcrs.catalog.values, pcrs.boxes, _FACE_SIGNS[:2])
+    return LinearBoxFunction(a, b)
 
 
 def fit_inner_cfb(pcrs: PCRSet, method: str = "closed-form") -> LinearBoxFunction:
@@ -154,54 +166,42 @@ def fit_inner_cfb(pcrs: PCRSet, method: str = "closed-form") -> LinearBoxFunctio
     ``Σ_j (hi(p_j) - lo(p_j))`` subject to ``lo(p_j) >= pcr_j-``,
     ``hi(p_j) <= pcr_j+`` and ``lo(p_j) <= hi(p_j)``.
 
-    The ``closed-form`` method first solves the two faces independently
-    (the coupling constraint is usually slack because PCR faces never
-    cross) and falls back to the coupled simplex only when the decoupled
-    optima cross at some catalog value.
+    The ``closed-form`` method solves the two faces independently (the
+    coupling constraint is usually slack because PCR faces never cross)
+    and, on an axis where the decoupled optima cross at some catalog
+    value, uses the anchored fit instead.  ``"simplex"`` solves the
+    coupled LP of every axis with the library's simplex.
     """
-    catalog = pcrs.catalog
-    ps = catalog.values
-    ones = np.ones(catalog.size)
-    d = pcrs.dim
-    intercept = np.empty((2, d))
-    slope = np.empty((2, d))
-
-    for axis in range(d):
-        lo_targets = pcrs.boxes[:, 0, axis]
-        hi_targets = pcrs.boxes[:, 1, axis]
-        solved = False
-        if method == "closed-form":
-            # Hug each PCR face from inside, independently.
-            a_lo, b_lo = _fit_face(ps, ones, lo_targets, side="upper", method=method,
-                                   slope_bounds=(0.0, np.inf))
-            a_hi, b_hi = _fit_face(ps, ones, hi_targets, side="lower", method=method,
-                                   slope_bounds=(-np.inf, 0.0))
-            crossing = (a_lo + b_lo * ps) > (a_hi + b_hi * ps) + _SAFETY
-            if not np.any(crossing):
-                solved = True
-            else:
-                # The decoupled optima cross (typical when the catalog
-                # includes 0.5, where the PCR degenerates): use the
-                # anchored fit, which is feasible and crossing-free.
-                a_lo, b_lo, a_hi, b_hi = _fit_inner_anchored(ps, lo_targets, hi_targets)
-                solved = True
-        if not solved:
-            a_lo, b_lo, a_hi, b_hi = _fit_inner_coupled(
-                ps, catalog.size, catalog.total, lo_targets, hi_targets
+    if method == "closed-form":
+        a, b, _ = _closed_form_faces(pcrs)
+        a, b = a[2:], b[2:]
+    elif method == "simplex":
+        catalog = pcrs.catalog
+        a = np.empty((2, pcrs.dim))
+        b = np.empty((2, pcrs.dim))
+        for axis in range(pcrs.dim):
+            a[0, axis], b[0, axis], a[1, axis], b[1, axis] = _fit_inner_coupled(
+                catalog.values, catalog.size, catalog.total,
+                pcrs.boxes[:, 0, axis], pcrs.boxes[:, 1, axis],
             )
-        intercept[0, axis], slope[0, axis] = a_lo, b_lo
-        intercept[1, axis], slope[1, axis] = a_hi, b_hi
-
-    cfb = LinearBoxFunction(intercept, slope)
-    _repair_inner(cfb, pcrs)
-    return cfb
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    _repair(a, b, pcrs.catalog.values, pcrs.boxes, _FACE_SIGNS[2:])
+    return LinearBoxFunction(a, b)
 
 
 def fit_cfbs(
     pcrs: PCRSet, method: str = "closed-form"
 ) -> tuple[LinearBoxFunction, LinearBoxFunction]:
-    """Fit both CFBs; returns ``(cfb_out, cfb_in)``."""
-    return fit_outer_cfb(pcrs, method=method), fit_inner_cfb(pcrs, method=method)
+    """Fit both CFBs; returns ``(cfb_out, cfb_in)``.
+
+    The closed form solves the ``4d`` faces of both in one pass.
+    """
+    if method != "closed-form":
+        return fit_outer_cfb(pcrs, method=method), fit_inner_cfb(pcrs, method=method)
+    a, b, faces = _closed_form_faces(pcrs)
+    _repair(a, b, pcrs.catalog.values, faces, _FACE_SIGNS)
+    return LinearBoxFunction(a[:2], b[:2]), LinearBoxFunction(a[2:], b[2:])
 
 
 def area_proxy_weights(pcrs: PCRSet) -> np.ndarray:
@@ -223,101 +223,158 @@ def area_proxy_weights(pcrs: PCRSet) -> np.ndarray:
     return weights
 
 
-def _face_weights(weights: np.ndarray | None, m: int) -> np.ndarray:
+def _face_totals(
+    weights: np.ndarray | None, ps: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis objective coefficients ``(Σ_j w_j, Σ_j w_j p_j)`` of a face.
+
+    ``weights`` is ``None`` (all ones), one weight per catalog value, or an
+    ``(m, d)`` array of per-axis weights.
+    """
     if weights is None:
-        return np.ones(m)
+        return np.full(d, float(ps.size)), np.full(d, ps.sum())
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != m or np.any(w <= 0):
+    if w.shape[0] != ps.size or np.any(w <= 0):
         raise ValueError("weights must be positive with one row per catalog value")
-    return w
+    cols = [w if w.ndim == 1 else w[:, axis] for axis in range(d)]
+    return np.array([c.sum() for c in cols]), np.array([(c * ps).sum() for c in cols])
 
 
-def _fit_face(
-    ps: np.ndarray,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    side: str,
-    method: str,
-    slope_bounds: tuple[float, float] | None = None,
-) -> tuple[float, float]:
-    """Fit one linear face against target planes.
+def _closed_form_faces(
+    pcrs: PCRSet, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unrepaired closed-form intercepts and slopes of all ``4d`` faces.
 
-    ``side="lower"``: hug the targets from below (``a + b p_j <= t_j``)
-    while maximising the weighted sum — used for the outer lower face and
-    the inner upper face.  ``side="upper"``: hug from above while
-    minimising — outer upper face and inner lower face.  Default slope
-    bounds implement the shrink-direction convention.
+    Returns ``(a, b, faces)``: ``(4, d)`` arrays with rows as in
+    ``_FACE_SIGNS``, and the ``(m, 4, d)`` PCR face each row hugs.  The
+    outer faces weigh the catalog values by ``weights`` (see
+    :func:`fit_outer_cfb`), the inner faces uniformly (Formula 11).  Every
+    face is solved as a lower-face LP (:func:`_solve_faces`): a face that
+    hugs its targets from above is the same problem on negated targets and
+    slope bounds, and negation is exact, so its solution is the negated
+    optimum.
     """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"unknown side {side!r}")
-    if slope_bounds is None:
-        slope_bounds = (0.0, np.inf) if side == "lower" else (-np.inf, 0.0)
-    if method == "closed-form":
-        return _fit_face_closed_form(ps, weights, targets, side, slope_bounds)
-    if method == "simplex":
-        return _fit_face_simplex(ps, weights, targets, side, slope_bounds)
-    raise ValueError(f"unknown method {method!r}")
+    ps = pcrs.catalog.values
+    d = pcrs.dim
+    layout = _face_layout(ps.tobytes(), d)
+    w_total, wp_total = layout.w_total, layout.wp_total
+    if weights is not None:
+        w_out, wp_out = _face_totals(weights, ps, d)
+        w_total = np.concatenate([w_out, w_out, w_total[2 * d :]])
+        wp_total = np.concatenate([wp_out, wp_out, wp_total[2 * d :]])
+    faces = pcrs.boxes[:, _FACE_SIDES, :]
+    targets = faces.reshape(ps.size, 4 * d).T * layout.sign
+    a, b = _solve_faces(ps, targets, w_total, wp_total, layout)
+    a = (a * layout.sign.ravel()).reshape(4, d)
+    b = (b * layout.sign.ravel()).reshape(4, d)
+
+    # The decoupled inner optima may cross (typical when the catalog
+    # includes 0.5, where the PCR degenerates): such an axis takes the
+    # anchored fit, which is feasible and crossing-free.
+    inner = a[2:, :, None] + b[2:, :, None] * ps
+    crossing = (inner[0] > inner[1] + _SAFETY).any(axis=1).nonzero()[0]
+    if crossing.size:
+        lo = pcrs.boxes[:, 0, crossing].T
+        hi = pcrs.boxes[:, 1, crossing].T
+        a[2, crossing], b[2, crossing], a[3, crossing], b[3, crossing] = (
+            _fit_inner_anchored(ps, lo, hi)
+        )
+    return a, b, faces
 
 
-def _fit_face_closed_form(
-    ps: np.ndarray,
-    weights: np.ndarray,
-    targets: np.ndarray,
-    side: str,
-    slope_bounds: tuple[float, float],
-) -> tuple[float, float]:
-    """Exact solution of the 2-variable face LP.
+class _FaceLayout(NamedTuple):
+    """Constants of the all-faces pass for one catalog and dimensionality."""
 
-    For side="lower" the feasible intercepts are ``a <= min_j(t_j - b p_j)``
-    and the objective ``W a + (Σ w_j p_j) b`` is maximised at
-    ``a*(b) = min_j(t_j - b p_j)``, a concave piecewise-linear function of
-    ``b``; its maximum sits at a kink (a pairwise constraint intersection)
-    or at a slope bound.  side="upper" is the convex mirror image.
+    i: np.ndarray  # pairs i < j of distinct catalog values
+    j: np.ndarray
+    dp: np.ndarray  # p_i - p_j per pair
+    sign: np.ndarray  # (4d, 1): _FACE_SIGNS per face
+    lo_b: np.ndarray  # (4d, 1) slope bounds in lower-face form: [0, inf)
+    hi_b: np.ndarray  # for the outer faces, (-inf, 0] for the inner ones
+    w_total: np.ndarray  # (4d,) uniform objective coefficients
+    wp_total: np.ndarray
+    rows: np.ndarray  # (4d,) start of each face's row in a flat (4d, K)
+
+
+@functools.lru_cache(maxsize=16)
+def _face_layout(key: bytes, d: int) -> _FaceLayout:
+    """The :class:`_FaceLayout` of catalog ``values.tobytes() == key``.
+
+    Only pairs ``i < j`` are candidates: pair ``(j, i)`` would give a
+    bitwise duplicate of ``(i, j)``'s intersection slope.
     """
-    w_total = float(weights.sum())
-    wp_total = float((weights * ps).sum())
-    lo_b, hi_b = slope_bounds
+    ps = np.frombuffer(key, dtype=np.float64)
+    i, j = np.triu_indices(ps.size, 1)
+    dp = ps[i] - ps[j]
+    keep = np.abs(dp) > 1e-15
+    outer = (np.arange(4 * d) < 2 * d)[:, None]
+    layout = _FaceLayout(
+        i=i[keep],
+        j=j[keep],
+        dp=dp[keep],
+        sign=np.repeat(_FACE_SIGNS, d, axis=0),
+        lo_b=np.where(outer, 0.0, -np.inf),
+        hi_b=np.where(outer, np.inf, 0.0),
+        w_total=np.full(4 * d, float(ps.size)),
+        wp_total=np.full(4 * d, ps.sum()),
+        rows=np.arange(4 * d) * (int(keep.sum()) + 1),
+    )
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
-    # Candidate slopes: pairwise intersections of the constraint lines
-    # plus any finite bounds.
-    diffs_t = targets[:, None] - targets[None, :]
-    diffs_p = ps[:, None] - ps[None, :]
-    mask = np.abs(diffs_p) > 1e-15
-    candidates = diffs_t[mask] / diffs_p[mask]
-    extra = [b for b in (lo_b, hi_b) if np.isfinite(b)]
-    if extra:
-        candidates = np.concatenate([candidates, np.asarray(extra)])
-    if candidates.size == 0:
-        candidates = np.zeros(1)
-    candidates = np.clip(candidates, lo_b, hi_b)
-    candidates = np.unique(candidates)
-    candidates = candidates[np.isfinite(candidates)]
-    if candidates.size == 0:
-        candidates = np.zeros(1)
 
-    # a*(b) per candidate, vectorised: (n_cand, m).
-    residual = targets[None, :] - candidates[:, None] * ps[None, :]
-    if side == "lower":
-        a_star = residual.min(axis=1)
-        objective = w_total * a_star + wp_total * candidates
-        best = int(np.argmax(objective))
-    else:
-        a_star = residual.max(axis=1)
-        objective = w_total * a_star + wp_total * candidates
-        best = int(np.argmin(objective))
-    return float(a_star[best]), float(candidates[best])
+def _solve_faces(
+    ps: np.ndarray,
+    targets: np.ndarray,
+    w_total: np.ndarray,
+    wp_total: np.ndarray,
+    layout: _FaceLayout,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solutions ``(a, b)`` of ``F`` independent 2-variable face LPs.
+
+    Face ``f`` maximises ``w_total[f] a + wp_total[f] b`` subject to
+    ``a + b p_j <= targets[f, j]`` at every catalog value, with ``b``
+    within the face's slope bounds in ``layout``.  The feasible intercepts
+    are ``a <= a*(b) = min_j(t_j - b p_j)``, a concave piecewise-linear
+    function of ``b``, so the objective peaks at a kink (a pairwise
+    constraint intersection) or at the slope bound 0: every such candidate
+    is scored.  Among equal scores the smallest ``sign * b`` wins, i.e. the
+    smallest slope of the face that row ``f`` stands for.
+
+    The candidate axis is innermost and the catalog axis is reduced, so the
+    ``(m, F, K)`` residual reduces over whole contiguous rows.
+    """
+    cand = np.empty((targets.shape[0], layout.dp.size + 1))
+    np.divide(targets[:, layout.i] - targets[:, layout.j], layout.dp, out=cand[:, :-1])
+    cand[:, -1] = 0.0
+    np.maximum(cand, layout.lo_b, out=cand)
+    np.minimum(cand, layout.hi_b, out=cand)
+    resid = np.multiply.outer(ps, cand)
+    np.subtract(targets.T[:, :, None], resid, out=resid)
+    a_star = resid.min(axis=0)
+    score = w_total[:, None] * a_star
+    score += wp_total[:, None] * cand
+    key = cand * layout.sign
+    key[score < score.max(axis=1, keepdims=True)] = np.inf
+    best = layout.rows + key.argmin(axis=1)
+    return a_star.ravel()[best], cand.ravel()[best]
 
 
 def _fit_face_simplex(
     ps: np.ndarray,
-    weights: np.ndarray,
+    w_total: float,
+    wp_total: float,
     targets: np.ndarray,
     side: str,
     slope_bounds: tuple[float, float],
 ) -> tuple[float, float]:
-    """Simplex oracle for the same face LP (used for cross-checking)."""
-    w_total = float(weights.sum())
-    wp_total = float((weights * ps).sum())
+    """Simplex oracle for one face LP (used for cross-checking).
+
+    ``side="lower"``: hug the targets from below (``a + b p_j <= t_j``)
+    while maximising ``w_total a + wp_total b``; ``side="upper"``: hug
+    from above while minimising.
+    """
     c = np.array([w_total, wp_total])
     lo_b, hi_b = slope_bounds
     bounds = [
@@ -346,12 +403,13 @@ def _fit_inner_anchored(
     ps: np.ndarray,
     lo_targets: np.ndarray,
     hi_targets: np.ndarray,
-) -> tuple[float, float, float, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Crossing-free inner fit anchored at the top catalog value.
 
-    Pin both faces to the midpoint ``t`` of the PCR at ``p_m`` (a point
-    both faces may legally touch), then open each face as fast as its
-    containment constraints allow:
+    ``lo_targets`` and ``hi_targets`` are ``(k, m)``: the PCR faces of
+    ``k`` axes, each fitted independently.  Pin both faces to the midpoint
+    ``t`` of the PCR at ``p_m`` (a point both faces may legally touch),
+    then open each face as fast as its containment constraints allow:
 
     * ``lo(p) = t + b_lo (p - p_m)`` with the largest ``b_lo`` keeping
       ``lo(p_j) >= pcr_j-`` for all j;
@@ -361,21 +419,18 @@ def _fit_inner_anchored(
     Since ``b_lo >= 0 >= b_hi`` and both lines meet at ``p_m``,
     ``lo(p_j) <= hi(p_j)`` holds everywhere — no crossing by
     construction.  Feasible always; optimal whenever the coupling
-    constraint binds only at ``p_m``.
+    constraint binds only at ``p_m``.  Returns ``(a_lo, b_lo, a_hi,
+    b_hi)``, one entry per axis.
     """
     p_top = ps[-1]
-    t = (lo_targets[-1] + hi_targets[-1]) / 2.0
-    below = ps < p_top
-    if not np.any(below):
-        return t, 0.0, t, 0.0
-    gaps = p_top - ps[below]
-    b_lo = float(np.min((t - lo_targets[below]) / gaps))
-    b_hi = float(np.max(-(hi_targets[below] - t) / gaps))
-    b_lo = max(b_lo, 0.0)
-    b_hi = min(b_hi, 0.0)
-    a_lo = t - b_lo * p_top
-    a_hi = t - b_hi * p_top
-    return a_lo, b_lo, a_hi, b_hi
+    t = (lo_targets[:, -1] + hi_targets[:, -1]) / 2.0
+    if ps.size == 1:
+        return t, np.zeros_like(t), t, np.zeros_like(t)
+    # Catalog values ascend strictly: every value but the last is below p_m.
+    gaps = p_top - ps[:-1]
+    b_lo = np.maximum(((t[:, None] - lo_targets[:, :-1]) / gaps).min(axis=1), 0.0)
+    b_hi = np.minimum((-(hi_targets[:, :-1] - t[:, None]) / gaps).max(axis=1), 0.0)
+    return t - b_lo * p_top, b_lo, t - b_hi * p_top, b_hi
 
 
 def _fit_inner_coupled(
@@ -409,29 +464,16 @@ def _fit_inner_coupled(
     return float(a_lo), float(b_lo), float(a_hi), float(b_hi)
 
 
-def _repair_outer(cfb: LinearBoxFunction, pcrs: PCRSet) -> None:
-    """Nudge outer faces so containment holds exactly despite LP tolerance."""
-    ps = pcrs.catalog.values
-    for axis in range(pcrs.dim):
-        lo_vals = cfb.intercept[0, axis] + cfb.slope[0, axis] * ps
-        violation = np.max(lo_vals - pcrs.boxes[:, 0, axis])
-        if violation > -_SAFETY:
-            cfb.intercept[0, axis] -= max(violation, 0.0) + _SAFETY
-        hi_vals = cfb.intercept[1, axis] + cfb.slope[1, axis] * ps
-        violation = np.max(pcrs.boxes[:, 1, axis] - hi_vals)
-        if violation > -_SAFETY:
-            cfb.intercept[1, axis] += max(violation, 0.0) + _SAFETY
+def _repair(
+    a: np.ndarray, b: np.ndarray, ps: np.ndarray, faces: np.ndarray, signs: np.ndarray
+) -> None:
+    """Nudge intercepts so containment holds exactly despite LP tolerance.
 
-
-def _repair_inner(cfb: LinearBoxFunction, pcrs: PCRSet) -> None:
-    """Nudge inner faces so containment holds exactly despite LP tolerance."""
-    ps = pcrs.catalog.values
-    for axis in range(pcrs.dim):
-        lo_vals = cfb.intercept[0, axis] + cfb.slope[0, axis] * ps
-        violation = np.max(pcrs.boxes[:, 0, axis] - lo_vals)
-        if violation > -_SAFETY:
-            cfb.intercept[0, axis] += max(violation, 0.0) + _SAFETY
-        hi_vals = cfb.intercept[1, axis] + cfb.slope[1, axis] * ps
-        violation = np.max(hi_vals - pcrs.boxes[:, 1, axis])
-        if violation > -_SAFETY:
-            cfb.intercept[1, axis] -= max(violation, 0.0) + _SAFETY
+    Row ``k`` of ``(a, b)`` must lie at or below (``signs[k] = +1``) or at
+    or above (-1) the PCR face ``faces[:, k]`` at every catalog value
+    ``ps``.  A face whose worst violation exceeds ``-_SAFETY`` moves past
+    it by ``_SAFETY``.
+    """
+    violation = (signs * (a + b * ps[:, None, None] - faces)).max(axis=0)
+    nudge = np.maximum(violation, 0.0) + _SAFETY
+    a -= np.where(violation > -_SAFETY, signs * nudge, 0.0)

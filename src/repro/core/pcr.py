@@ -87,29 +87,32 @@ def compute_pcrs(obj: UncertainObject, catalog: UCatalog) -> PCRSet:
 
     Monotonicity of the quantile function gives nesting for free; we still
     clamp tiny numerical inversions so downstream invariants hold exactly.
+    Each axis is one :meth:`~repro.uncertainty.marginals.MarginalModel.quantiles`
+    call over the whole catalog (lower and upper planes together).
     """
     marginals = obj.marginals()
     mbr = obj.mbr
-    d = obj.dim
-    m = catalog.size
-    boxes = np.empty((m, 2, d))
-    for j, p in enumerate(catalog):
-        if p == 0.0:
-            boxes[j, 0] = mbr.lo
-            boxes[j, 1] = mbr.hi
-            continue
-        for axis in range(d):
-            boxes[j, 0, axis] = marginals.quantile(axis, p)
-            boxes[j, 1, axis] = marginals.quantile(axis, 1.0 - p)
+    ps = catalog.values
+    # Catalog values ascend strictly, so only the first can be 0.
+    first = 1 if ps[0] == 0.0 else 0
+    inner = ps[first:]
+    targets = np.concatenate([inner, 1.0 - inner])
+    boxes = np.empty((catalog.size, 2, obj.dim))
+    boxes[:first, 0] = mbr.lo
+    boxes[:first, 1] = mbr.hi
+    for axis in range(obj.dim):
+        planes = marginals.quantiles(axis, targets)
+        boxes[first:, 0, axis] = planes[: inner.size]
+        boxes[first:, 1, axis] = planes[inner.size :]
 
     # Clamp: planes stay inside the MBR, nesting is exact, lo <= hi.
-    boxes[:, 0, :] = np.clip(boxes[:, 0, :], mbr.lo, mbr.hi)
-    boxes[:, 1, :] = np.clip(boxes[:, 1, :], mbr.lo, mbr.hi)
-    boxes[:, 0, :] = np.maximum.accumulate(boxes[:, 0, :], axis=0)
-    boxes[:, 1, :] = np.minimum.accumulate(boxes[:, 1, :], axis=0)
-    crossing = boxes[:, 0, :] > boxes[:, 1, :]
-    if np.any(crossing):
-        mid = (boxes[:, 0, :] + boxes[:, 1, :]) / 2.0
-        boxes[:, 0, :] = np.where(crossing, mid, boxes[:, 0, :])
-        boxes[:, 1, :] = np.where(crossing, mid, boxes[:, 1, :])
+    lo = np.maximum.accumulate(np.clip(boxes[:, 0, :], mbr.lo, mbr.hi), axis=0)
+    hi = np.minimum.accumulate(np.clip(boxes[:, 1, :], mbr.lo, mbr.hi), axis=0)
+    crossing = lo > hi
+    if crossing.any():
+        mid = (lo + hi) / 2.0
+        lo = np.where(crossing, mid, lo)
+        hi = np.where(crossing, mid, hi)
+    boxes[:, 0, :] = lo
+    boxes[:, 1, :] = hi
     return PCRSet(catalog, boxes, mbr)

@@ -217,8 +217,9 @@ class UTree:
     def insert(self, obj: UncertainObject) -> UpdateCost:
         """Insert an object; returns the I/O + CPU cost breakdown.
 
-        The CPU component covers PCR derivation and the simplex fits —
-        the paper's one-time per-object cost (Section 4.4, Fig. 11a).
+        The CPU component covers PCR derivation and the CFB fit (closed
+        form) — the paper's one-time per-object cost (Section 4.4,
+        Fig. 11a).
         """
         if obj.dim != self.dim:
             raise ValueError(f"object dimensionality {obj.dim} != tree dimensionality {self.dim}")

@@ -1,11 +1,12 @@
 """Figure 11 — update overhead of the U-tree.
 
 The paper reports (a) the average cost of one insertion during index
-construction, broken into I/O and CPU — where CPU covers the simplex runs
-that fit the CFBs plus PCR derivation — and (b) the amortised cost of
-deleting every object.  Expected shapes: insertion CPU dominated by the
-one-time CFB/PCR computation with a small I/O component; deletion
-dominated by I/O (locating the leaf plus condensing), CPU negligible.
+construction, broken into I/O and CPU — where CPU covers the CFB fits
+(the paper ran the simplex; here the closed form) plus PCR derivation —
+and (b) the amortised cost of deleting every object.  Expected shapes:
+insertion CPU dominated by the one-time CFB/PCR computation with a small
+I/O component; deletion dominated by I/O (locating the leaf plus
+condensing), CPU negligible.
 
 This experiment builds fresh trees (no cache) because it *is* the build.
 """

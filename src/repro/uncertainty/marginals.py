@@ -30,7 +30,31 @@ __all__ = [
     "FunctionMarginals",
     "GridMarginals",
     "SampleMarginals",
+    "trapezoid_cdf",
 ]
+
+
+def trapezoid_cdf(grid: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """The normalised piecewise-linear CDF of a density profile on a grid.
+
+    ``profile`` holds (unnormalised, non-negative) density values at the
+    strictly increasing ``grid`` points; trapezoidal integration gives the
+    CDF at those points, scaled to end at exactly 1.
+    """
+    g = np.asarray(grid, dtype=np.float64)
+    f = np.asarray(profile, dtype=np.float64)
+    if g.ndim != 1 or g.shape != f.shape or g.size < 2:
+        raise ValueError("each grid/profile must be matching 1-D arrays, length >= 2")
+    if np.any(np.diff(g) <= 0):
+        raise ValueError("grid points must be strictly increasing")
+    if np.any(f < 0):
+        raise ValueError("density profile must be non-negative")
+    steps = np.diff(g)
+    cum = np.concatenate([[0.0], np.cumsum(steps * (f[1:] + f[:-1]) / 2.0)])
+    total = cum[-1]
+    if total <= 0.0:
+        raise ValueError("density profile integrates to zero")
+    return cum / total
 
 
 class MarginalModel(ABC):
@@ -49,6 +73,17 @@ class MarginalModel(ABC):
     def quantile(self, axis: int, p: float) -> float:
         """The smallest ``x`` with ``P(X_axis <= x) >= p``."""
 
+    def quantiles(self, axis: int, ps: Sequence[float] | np.ndarray) -> np.ndarray:
+        """:meth:`quantile` at each of ``ps``, as one float array.
+
+        Tabulated models override this with one vectorised lookup whose
+        every entry equals the scalar call.
+        """
+        return np.array(
+            [self.quantile(axis, p) for p in np.asarray(ps, dtype=np.float64)],
+            dtype=np.float64,
+        )
+
     def _check_axis(self, axis: int) -> None:
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for {self.dim} dimensions")
@@ -58,6 +93,14 @@ class MarginalModel(ABC):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {p}")
         return float(p)
+
+    @staticmethod
+    def _check_probs(ps: Sequence[float] | np.ndarray) -> np.ndarray:
+        arr = np.asarray(ps, dtype=np.float64)
+        # NaN fails both comparisons.
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError(f"probabilities must be in [0, 1], got {arr}")
+        return arr
 
 
 class FunctionMarginals(MarginalModel):
@@ -92,6 +135,10 @@ class GridMarginals(MarginalModel):
     For each axis the caller supplies grid points and (unnormalised)
     marginal density values; trapezoidal integration yields a piecewise
     linear CDF that is normalised to 1 and inverted by interpolation.
+
+    Each axis may also carry an offset added to its grid points
+    (:meth:`shared`): objects of one shape then share one read-only table
+    and only the grid points a lookup touches are translated.
     """
 
     @classmethod
@@ -121,29 +168,33 @@ class GridMarginals(MarginalModel):
             c[-1] = 1.0
             model._grids.append(g)
             model._cdfs.append(np.maximum.accumulate(c))
+        model._offsets = [0.0] * len(model._grids)
+        return model
+
+    @classmethod
+    def shared(cls, grid: np.ndarray, cdf: np.ndarray, offsets: Sequence[float]) -> "GridMarginals":
+        """One table for every axis, translated by ``offsets[axis]``.
+
+        ``grid`` and ``cdf`` are referenced, not copied, so the caller
+        passes a validated table (e.g. from :func:`trapezoid_cdf`) that it
+        will not mutate.
+        """
+        if len(offsets) == 0:
+            raise ValueError("need at least one axis offset")
+        model = cls.__new__(cls)
+        model._grids = [grid] * len(offsets)
+        model._cdfs = [cdf] * len(offsets)
+        model._offsets = [float(c) for c in offsets]
         return model
 
     def __init__(self, grids: Sequence[np.ndarray], profiles: Sequence[np.ndarray]):
         if len(grids) != len(profiles) or not grids:
             raise ValueError("need matching, non-empty grid and profile lists")
-        self._grids: list[np.ndarray] = []
-        self._cdfs: list[np.ndarray] = []
-        for grid, profile in zip(grids, profiles):
-            g = np.asarray(grid, dtype=np.float64)
-            f = np.asarray(profile, dtype=np.float64)
-            if g.ndim != 1 or g.shape != f.shape or g.size < 2:
-                raise ValueError("each grid/profile must be matching 1-D arrays, length >= 2")
-            if np.any(np.diff(g) <= 0):
-                raise ValueError("grid points must be strictly increasing")
-            if np.any(f < 0):
-                raise ValueError("density profile must be non-negative")
-            steps = np.diff(g)
-            cum = np.concatenate([[0.0], np.cumsum(steps * (f[1:] + f[:-1]) / 2.0)])
-            total = cum[-1]
-            if total <= 0.0:
-                raise ValueError("density profile integrates to zero")
-            self._grids.append(g)
-            self._cdfs.append(cum / total)
+        self._grids: list[np.ndarray] = [np.asarray(g, dtype=np.float64) for g in grids]
+        self._cdfs: list[np.ndarray] = [
+            trapezoid_cdf(g, f) for g, f in zip(self._grids, profiles)
+        ]
+        self._offsets: list[float] = [0.0] * len(self._grids)
 
     @property
     def dim(self) -> int:
@@ -151,25 +202,31 @@ class GridMarginals(MarginalModel):
 
     def cdf(self, axis: int, x: float) -> float:
         self._check_axis(axis)
+        x = float(x) - self._offsets[axis]
         return float(np.interp(x, self._grids[axis], self._cdfs[axis], left=0.0, right=1.0))
 
     def quantile(self, axis: int, p: float) -> float:
+        return float(self.quantiles(axis, (p,))[0])
+
+    def quantiles(self, axis: int, ps: Sequence[float] | np.ndarray) -> np.ndarray:
         self._check_axis(axis)
-        p = self._check_prob(p)
+        ps = self._check_probs(ps)
         cdf = self._cdfs[axis]
         grid = self._grids[axis]
-        # np.interp needs strictly increasing x; the cdf may have flat runs
-        # (zero-density stretches).  searchsorted picks the left-most point.
-        idx = int(np.searchsorted(cdf, p, side="left"))
-        if idx <= 0:
-            return float(grid[0])
-        if idx >= cdf.size:
-            return float(grid[-1])
-        c0, c1 = cdf[idx - 1], cdf[idx]
-        if c1 <= c0:
-            return float(grid[idx])
-        t = (p - c0) / (c1 - c0)
-        return float(grid[idx - 1] + t * (grid[idx] - grid[idx - 1]))
+        off = self._offsets[axis]
+        # The cdf rises from exactly 0 to exactly 1 and may have flat runs
+        # (zero-density stretches), where np.interp would not invert it.
+        # searchsorted picks the left-most point: cdf[idx - 1] < p <= cdf[idx],
+        # so the bracketing cdf values differ wherever idx > 0, and idx == 0
+        # means p == 0, whose quantile is the first grid point (t = 0).
+        idx = np.searchsorted(cdf, ps, side="left")
+        right = np.maximum(idx, 1)
+        left = right - 1
+        c0 = cdf[left]
+        g0 = off + grid[left]
+        g1 = off + grid[right]
+        t = (ps - c0) / np.where(idx > 0, cdf[right] - c0, 1.0)
+        return g0 + t * (g1 - g0)
 
 
 class SampleMarginals(MarginalModel):
@@ -213,10 +270,11 @@ class SampleMarginals(MarginalModel):
         return float(min(1.0, self._cum_weights[axis][idx - 1]))
 
     def quantile(self, axis: int, p: float) -> float:
+        return float(self.quantiles(axis, (p,))[0])
+
+    def quantiles(self, axis: int, ps: Sequence[float] | np.ndarray) -> np.ndarray:
         self._check_axis(axis)
-        p = self._check_prob(p)
-        cum = self._cum_weights[axis]
+        ps = self._check_probs(ps)
         values = self._sorted_values[axis]
-        idx = int(np.searchsorted(cum, p, side="left"))
-        idx = min(idx, values.size - 1)
-        return float(values[idx])
+        idx = np.searchsorted(self._cum_weights[axis], ps, side="left")
+        return values[np.minimum(idx, values.size - 1)]

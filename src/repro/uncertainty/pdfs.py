@@ -22,6 +22,7 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
@@ -34,6 +35,7 @@ from repro.uncertainty.marginals import (
     GridMarginals,
     MarginalModel,
     SampleMarginals,
+    trapezoid_cdf,
 )
 from repro.uncertainty.regions import BallRegion, BoxRegion, UncertaintyRegion
 
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 1025
+_SHAPE_TABLES = 64
 _DEFAULT_MARGINAL_SAMPLES = 16384
 _DEFAULT_NORMALISER_SAMPLES = 65536
 
@@ -153,6 +156,9 @@ class ConstrainedGaussianDensity(Density):
             if self.mean.shape != (region.dim,):
                 raise ValueError("mean must match the region dimensionality")
         self._log_norm = -(region.dim / 2.0) * math.log(2.0 * math.pi * self.sigma**2)
+        self._centred_ball = isinstance(region, BallRegion) and bool(
+            np.allclose(self.mean, region.center)
+        )
         self.normaliser = self._compute_normaliser()
 
     def _gaussian(self, points: np.ndarray) -> np.ndarray:
@@ -164,12 +170,6 @@ class ConstrainedGaussianDensity(Density):
         values = self._gaussian(points) / self.normaliser
         return np.where(self._inside(points), values, 0.0)
 
-    @property
-    def _is_centred_ball(self) -> bool:
-        return isinstance(self.region, BallRegion) and np.allclose(
-            self.mean, self.region.center
-        )
-
     def _compute_normaliser(self) -> float:
         """The Gaussian mass lambda of the region (Eq. 16).
 
@@ -180,7 +180,7 @@ class ConstrainedGaussianDensity(Density):
         estimate (the paper computes lambda once per object shape anyway).
         """
         region = self.region
-        if self._is_centred_ball:
+        if self._centred_ball:
             r = region.radius  # type: ignore[union-attr]
             return float(special.gammainc(region.dim / 2.0, r**2 / (2.0 * self.sigma**2)))
         if isinstance(region, BoxRegion):
@@ -195,7 +195,7 @@ class ConstrainedGaussianDensity(Density):
         region = self.region
         if isinstance(region, BoxRegion):
             return _truncated_normal_marginals(region, self.mean, self.sigma)
-        if self._is_centred_ball:
+        if self._centred_ball:
             return _centred_ball_gaussian_marginals(region, self.sigma)  # type: ignore[arg-type]
         return super()._build_marginals()
 
@@ -456,21 +456,9 @@ def _uniform_box_marginals(region: BoxRegion) -> FunctionMarginals:
 
 
 def _uniform_ball_marginals(region: BallRegion) -> GridMarginals:
-    """Cross-section profile ``(r^2 - u^2)^((d-1)/2)`` integrated on a grid."""
-    d = region.dim
-    grids = []
-    profiles = []
-    for axis in range(d):
-        c = float(region.center[axis])
-        r = region.radius
-        grid = np.linspace(c - r, c + r, _GRID_POINTS)
-        u = grid - c
-        profile = np.maximum(r**2 - u**2, 0.0) ** ((d - 1) / 2.0)
-        if d == 1:
-            profile = np.ones_like(u)
-        grids.append(grid)
-        profiles.append(profile)
-    return GridMarginals(grids, profiles)
+    """The shared uniform-ball table, translated to the ball's centre."""
+    grid, cdf = _ball_table("uniform", region.dim, float(region.radius), 0.0)
+    return GridMarginals.shared(grid, cdf, region.center)
 
 
 def _truncated_normal_marginals(
@@ -500,28 +488,38 @@ def _truncated_normal_marginals(
 
 
 def _centred_ball_gaussian_marginals(region: BallRegion, sigma: float) -> GridMarginals:
-    """Marginal of an isotropic Gaussian restricted to a ball about its mean.
+    """The shared centred-ball Gaussian table, translated to the ball's centre."""
+    grid, cdf = _ball_table("congau", region.dim, float(region.radius), float(sigma))
+    return GridMarginals.shared(grid, cdf, region.center)
 
-    Along any axis, at offset ``u`` from the centre the remaining ``d-1``
-    coordinates must land in a centred ``(d-1)``-ball of radius
-    ``sqrt(r^2 - u^2)``, whose Gaussian mass is
-    ``gammainc((d-1)/2, (r^2 - u^2) / (2 sigma^2))``; the axis profile is
-    that mass times the 1-D Gaussian density.
+
+@functools.lru_cache(maxsize=_SHAPE_TABLES)
+def _ball_table(kind: str, d: int, r: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(u, cdf)`` marginal table of a ball centred at the origin.
+
+    The marginal of a centred ball depends only on ``(kind, d, r, sigma)``
+    and is the same on every axis, so it is built once per disk shape on
+    ``u = linspace(-r, r)`` and shared; an object's axis-``i`` marginal is
+    this table shifted by its centre's ``i``-th coordinate.
+
+    * ``"uniform"``: the cross-section profile ``(r^2 - u^2)^((d-1)/2)``.
+    * ``"congau"``: an isotropic Gaussian restricted to the ball.  At
+      offset ``u`` the remaining ``d-1`` coordinates must land in a
+      centred ``(d-1)``-ball of radius ``sqrt(r^2 - u^2)``, whose Gaussian
+      mass is ``gammainc((d-1)/2, (r^2 - u^2) / (2 sigma^2))``; the axis
+      profile is that mass times the 1-D Gaussian density.
     """
-    d = region.dim
-    r = region.radius
-    grids = []
-    profiles = []
-    for axis in range(d):
-        c = float(region.center[axis])
-        grid = np.linspace(c - r, c + r, _GRID_POINTS)
-        u = grid - c
-        gauss = np.exp(-(u**2) / (2.0 * sigma**2))
-        if d == 1:
-            profile = gauss
-        else:
-            residual = np.maximum(r**2 - u**2, 0.0) / (2.0 * sigma**2)
-            profile = gauss * special.gammainc((d - 1) / 2.0, residual)
-        grids.append(grid)
-        profiles.append(profile)
-    return GridMarginals(grids, profiles)
+    u = np.linspace(-r, r, _GRID_POINTS)
+    residual = np.maximum(r**2 - u**2, 0.0)
+    if kind == "uniform":
+        profile = np.ones_like(u) if d == 1 else residual ** ((d - 1) / 2.0)
+    elif kind == "congau":
+        profile = np.exp(-(u**2) / (2.0 * sigma**2))
+        if d > 1:
+            profile = profile * special.gammainc((d - 1) / 2.0, residual / (2.0 * sigma**2))
+    else:
+        raise ValueError(f"unknown ball table kind {kind!r}")
+    cdf = trapezoid_cdf(u, profile)
+    u.setflags(write=False)
+    cdf.setflags(write=False)
+    return u, cdf

@@ -7,8 +7,11 @@ cases (splits, reinserts, condense) are exercised with small inputs.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.catalog import UCatalog
 from repro.uncertainty.montecarlo import AppearanceEstimator
@@ -21,6 +24,12 @@ from repro.uncertainty.pdfs import (
 )
 from repro.uncertainty.regions import BallRegion, BoxRegion
 from repro.geometry.rect import Rect
+
+# HYPOTHESIS_PROFILE=ci (set by the CI tier-1 job) derives every example
+# from the test itself, so a property test cannot pass on one matrix leg
+# and fail on another; local runs keep the randomised default.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -179,3 +179,207 @@ class TestCompression:
         f = LinearBoxFunction(np.zeros((2, 3)), np.zeros((2, 3)))
         stored = f.intercept.size + f.slope.size
         assert stored == 4 * 3  # per CFB: 4d values; two CFBs = 8d
+
+
+# ----------------------------------------------------------------------
+# Per-face reference fit: the closed form solved one face at a time, with
+# its own candidate set and np.unique, kept as the oracle for the
+# all-faces pass in repro.core.cfb.
+# ----------------------------------------------------------------------
+
+_SAFETY = 1e-9
+
+
+def _reference_face(ps, weights, targets, side, slope_bounds):
+    w_total = float(weights.sum())
+    wp_total = float((weights * ps).sum())
+    lo_b, hi_b = slope_bounds
+    diffs_t = targets[:, None] - targets[None, :]
+    diffs_p = ps[:, None] - ps[None, :]
+    mask = np.abs(diffs_p) > 1e-15
+    candidates = diffs_t[mask] / diffs_p[mask]
+    extra = [b for b in (lo_b, hi_b) if np.isfinite(b)]
+    if extra:
+        candidates = np.concatenate([candidates, np.asarray(extra)])
+    if candidates.size == 0:
+        candidates = np.zeros(1)
+    candidates = np.clip(candidates, lo_b, hi_b)
+    candidates = np.unique(candidates)
+    candidates = candidates[np.isfinite(candidates)]
+    if candidates.size == 0:
+        candidates = np.zeros(1)
+    residual = targets[None, :] - candidates[:, None] * ps[None, :]
+    if side == "lower":
+        a_star = residual.min(axis=1)
+        best = int(np.argmax(w_total * a_star + wp_total * candidates))
+    else:
+        a_star = residual.max(axis=1)
+        best = int(np.argmin(w_total * a_star + wp_total * candidates))
+    return float(a_star[best]), float(candidates[best])
+
+
+def _reference_anchored(ps, lo_targets, hi_targets):
+    p_top = ps[-1]
+    t = (lo_targets[-1] + hi_targets[-1]) / 2.0
+    below = ps < p_top
+    if not np.any(below):
+        return t, 0.0, t, 0.0
+    gaps = p_top - ps[below]
+    b_lo = max(float(np.min((t - lo_targets[below]) / gaps)), 0.0)
+    b_hi = min(float(np.max(-(hi_targets[below] - t) / gaps)), 0.0)
+    return t - b_lo * p_top, b_lo, t - b_hi * p_top, b_hi
+
+
+def _reference_repair(intercept, slope, pcrs, signs):
+    ps = pcrs.catalog.values
+    for row, sign in enumerate(signs):
+        for axis in range(pcrs.dim):
+            vals = intercept[row, axis] + slope[row, axis] * ps
+            targets = pcrs.boxes[:, row, axis]
+            violation = np.max(vals - targets) if sign > 0 else np.max(targets - vals)
+            if violation > -_SAFETY:
+                intercept[row, axis] -= sign * (max(violation, 0.0) + _SAFETY)
+
+
+def reference_outer(pcrs, weights=None):
+    ps = pcrs.catalog.values
+    m = ps.size
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    intercept = np.empty((2, pcrs.dim))
+    slope = np.empty((2, pcrs.dim))
+    for axis in range(pcrs.dim):
+        wa = w if w.ndim == 1 else w[:, axis]
+        intercept[0, axis], slope[0, axis] = _reference_face(
+            ps, wa, pcrs.boxes[:, 0, axis], "lower", (0.0, np.inf)
+        )
+        intercept[1, axis], slope[1, axis] = _reference_face(
+            ps, wa, pcrs.boxes[:, 1, axis], "upper", (-np.inf, 0.0)
+        )
+    _reference_repair(intercept, slope, pcrs, (1, -1))
+    return intercept, slope
+
+
+def reference_inner(pcrs):
+    ps = pcrs.catalog.values
+    ones = np.ones(ps.size)
+    intercept = np.empty((2, pcrs.dim))
+    slope = np.empty((2, pcrs.dim))
+    for axis in range(pcrs.dim):
+        lo_t = pcrs.boxes[:, 0, axis]
+        hi_t = pcrs.boxes[:, 1, axis]
+        a_lo, b_lo = _reference_face(ps, ones, lo_t, "upper", (0.0, np.inf))
+        a_hi, b_hi = _reference_face(ps, ones, hi_t, "lower", (-np.inf, 0.0))
+        if np.any((a_lo + b_lo * ps) > (a_hi + b_hi * ps) + _SAFETY):
+            a_lo, b_lo, a_hi, b_hi = _reference_anchored(ps, lo_t, hi_t)
+        intercept[:, axis] = a_lo, a_hi
+        slope[:, axis] = b_lo, b_hi
+    _reference_repair(intercept, slope, pcrs, (-1, 1))
+    return intercept, slope
+
+
+def _uniform_box_object(oid, centre, half):
+    from repro.uncertainty.objects import UncertainObject
+    from repro.uncertainty.pdfs import UniformDensity
+    from repro.uncertainty.regions import BoxRegion
+    from repro.geometry.rect import Rect
+
+    centre = np.asarray(centre, dtype=np.float64)
+    return UncertainObject(oid, UniformDensity(BoxRegion(Rect(centre - half, centre + half))))
+
+
+@st.composite
+def catalogs(draw):
+    """Random catalogs, m >= 2, with and without the degenerate 0.5."""
+    grid = draw(st.sampled_from([28, 40, 64, 1000]))
+    ks = draw(st.lists(st.integers(0, grid // 2 - 1), min_size=1, max_size=15, unique=True))
+    values = [k / grid for k in ks]
+    if draw(st.booleans()) or len(values) == 1:
+        values.append(0.5)
+    return UCatalog(sorted(values))
+
+
+@st.composite
+def pcr_sets(draw):
+    """PCRs of ball, histogram and collinear uniform-box objects."""
+    catalog = draw(catalogs())
+    seed = draw(st.integers(0, 10_000))
+    dim = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["ball", "box", "grid"]))
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(0, 5000, dim)
+    if kind == "box":
+        obj = _uniform_box_object(seed, centre, float(rng.integers(1, 400)))
+    elif kind == "grid" or dim == 1:
+        return _integer_pcrs(draw, catalog, dim)
+    else:
+        obj = make_object(seed, centre) if dim == 2 else make_congau_ball_object(seed, centre)
+    return compute_pcrs(obj, catalog)
+
+
+def _integer_pcrs(draw, catalog, dim):
+    """Nested PCR faces on an integer grid: many exact ties between candidates."""
+    from repro.core.pcr import PCRSet
+    from repro.geometry.rect import Rect
+
+    m = catalog.size
+    steps = st.lists(st.integers(0, 3), min_size=m, max_size=m)
+    boxes = np.empty((m, 2, dim))
+    for axis in range(dim):
+        lo = np.cumsum(draw(steps)).astype(np.float64)
+        hi = 100.0 - np.cumsum(draw(steps))
+        boxes[:, 0, axis] = np.minimum(lo, 50.0)
+        boxes[:, 1, axis] = np.maximum(hi, 50.0)
+    return PCRSet(catalog, boxes, Rect(boxes[0, 0], boxes[0, 1]))
+
+
+def _same(got, want):
+    # Equal under ==.  Among tied zero-slope candidates the sign of the
+    # zero kept is arbitrary (np.unique keeps either), and faces are only
+    # ever evaluated as intercept + slope * p, where it cannot show.
+    return np.array_equal(got, want)
+
+
+class TestAllFacesMatchPerFaceReference:
+    """The one-pass fit equals the per-face loop it replaced, value for value."""
+
+    @given(pcr_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_cfbs_matches_reference(self, pcrs):
+        outer, inner = fit_cfbs(pcrs)
+        ref_oa, ref_ob = reference_outer(pcrs)
+        ref_ia, ref_ib = reference_inner(pcrs)
+        assert _same(outer.intercept, ref_oa) and _same(outer.slope, ref_ob)
+        assert _same(inner.intercept, ref_ia) and _same(inner.slope, ref_ib)
+        single_outer = fit_outer_cfb(pcrs)
+        single_inner = fit_inner_cfb(pcrs)
+        assert _same(single_outer.intercept, ref_oa) and _same(single_outer.slope, ref_ob)
+        assert _same(single_inner.intercept, ref_ia) and _same(single_inner.slope, ref_ib)
+
+    @given(pcr_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_area_proxy_weights_match_reference(self, pcrs):
+        weights = area_proxy_weights(pcrs)
+        outer = fit_outer_cfb(pcrs, weights=weights)
+        ref_a, ref_b = reference_outer(pcrs, weights)
+        assert _same(outer.intercept, ref_a) and _same(outer.slope, ref_b)
+
+    @given(pcr_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_repaired_sandwich_holds_exactly(self, pcrs):
+        outer, inner = fit_cfbs(pcrs)
+        out = outer.intercept[None] + outer.slope[None] * pcrs.catalog.values[:, None, None]
+        inn = inner.intercept[None] + inner.slope[None] * pcrs.catalog.values[:, None, None]
+        lo, hi = pcrs.boxes[:, 0], pcrs.boxes[:, 1]
+        assert np.all(out[:, 0] <= lo) and np.all(out[:, 1] >= hi)
+        assert np.all(inn[:, 0] >= lo) and np.all(inn[:, 1] <= hi)
+
+    def test_collinear_uniform_box_faces(self, paper_catalog):
+        """A uniform box's PCR faces are collinear in p: every candidate ties."""
+        for seed in range(6):
+            obj = _uniform_box_object(seed, np.full(2, 1000.0 + 37 * seed), 100.0 + seed)
+            pcrs = compute_pcrs(obj, paper_catalog)
+            outer, inner = fit_cfbs(pcrs)
+            ref_oa, ref_ob = reference_outer(pcrs)
+            ref_ia, ref_ib = reference_inner(pcrs)
+            assert _same(outer.intercept, ref_oa) and _same(outer.slope, ref_ob)
+            assert _same(inner.intercept, ref_ia) and _same(inner.slope, ref_ib)

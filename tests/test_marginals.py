@@ -11,6 +11,7 @@ from repro.uncertainty.marginals import (
     FunctionMarginals,
     GridMarginals,
     SampleMarginals,
+    trapezoid_cdf,
 )
 
 
@@ -142,3 +143,133 @@ class TestSampleMarginals:
         m = SampleMarginals(points, np.ones(100))
         for p in (0.05, 0.3, 0.5, 0.77, 0.95):
             assert m.cdf(0, m.quantile(0, p)) >= p - 1e-9
+
+
+# ----------------------------------------------------------------------
+# quantiles(axis, ps): one vectorised lookup, equal to the scalar call
+# ----------------------------------------------------------------------
+
+
+def reference_grid_quantile(model, axis, p):
+    """The scalar grid inversion the vectorised lookup replaced."""
+    cdf = model._cdfs[axis]
+    grid = model._offsets[axis] + model._grids[axis]
+    idx = int(np.searchsorted(cdf, p, side="left"))
+    if idx <= 0:
+        return float(grid[0])
+    if idx >= cdf.size:
+        return float(grid[-1])
+    c0, c1 = cdf[idx - 1], cdf[idx]
+    if c1 <= c0:
+        return float(grid[idx])
+    t = (p - c0) / (c1 - c0)
+    return float(grid[idx - 1] + t * (grid[idx] - grid[idx - 1]))
+
+
+def reference_sample_quantile(model, axis, p):
+    """The scalar weighted-sample inversion the vectorised lookup replaced."""
+    idx = int(np.searchsorted(model._cum_weights[axis], p, side="left"))
+    return float(model._sorted_values[axis][min(idx, model._sorted_values[axis].size - 1)])
+
+
+def _probes(draw, knots):
+    """p = 0, p = 1, p exactly on a CDF knot (incl. flat runs) and anywhere."""
+    anywhere = st.floats(0.0, 1.0, allow_nan=False)
+    return draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.just(1.0), st.sampled_from(sorted(knots)), anywhere),
+            min_size=1,
+            max_size=40,
+        )
+    )
+
+
+masses = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.01, 10.0, allow_nan=False)), min_size=1, max_size=12
+).filter(lambda m: sum(m) > 0)
+
+
+@st.composite
+def histogram_grid_marginals(draw):
+    """``from_cdf`` histograms, zero-mass cells giving flat CDF runs."""
+    dim = draw(st.integers(1, 3))
+    grids, cdfs = [], []
+    for _ in range(dim):
+        mass = np.asarray(draw(masses))
+        widths = np.asarray(draw(st.lists(st.floats(0.1, 5.0), min_size=mass.size, max_size=mass.size)))
+        start = draw(st.floats(-1e4, 1e4))
+        grids.append(start + np.concatenate([[0.0], np.cumsum(widths)]))
+        cdfs.append(np.concatenate([[0.0], np.cumsum(mass)]) / mass.sum())
+    model = GridMarginals.from_cdf(grids, cdfs)
+    return model, _probes(draw, np.concatenate(model._cdfs))
+
+
+@st.composite
+def profile_grid_marginals(draw):
+    """Trapezoid-integrated profiles (zero stretches) and shared shifted tables."""
+    mass = np.asarray(draw(masses))
+    grid = np.linspace(-3.0, 3.0, mass.size + 1)
+    profile = np.concatenate([mass, [draw(st.floats(0.0, 5.0))]])
+    if draw(st.booleans()):
+        model = GridMarginals([grid], [profile])
+    else:
+        cdf = trapezoid_cdf(grid, profile)
+        offsets = draw(st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=3))
+        model = GridMarginals.shared(grid, cdf, offsets)
+    return model, _probes(draw, np.concatenate(model._cdfs))
+
+
+@st.composite
+def sample_marginals(draw):
+    """Weighted samples, zero weights giving flat runs in the cumulative weights."""
+    n = draw(st.integers(1, 30))
+    dim = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-5, 5, size=(n, dim)).astype(np.float64)
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=n)
+    weights[0] = 1.0
+    model = SampleMarginals(points, weights)
+    return model, _probes(draw, np.concatenate(model._cum_weights))
+
+
+class TestQuantilesEqualScalar:
+    @given(st.one_of(histogram_grid_marginals(), profile_grid_marginals()))
+    @settings(max_examples=200, deadline=None)
+    def test_grid(self, case):
+        model, ps = case
+        for axis in range(model.dim):
+            got = model.quantiles(axis, ps)
+            assert got.tolist() == [model.quantile(axis, p) for p in ps]
+            assert got.tolist() == [reference_grid_quantile(model, axis, p) for p in ps]
+
+    @given(sample_marginals())
+    @settings(max_examples=200, deadline=None)
+    def test_sample(self, case):
+        model, ps = case
+        for axis in range(model.dim):
+            got = model.quantiles(axis, ps)
+            assert got.tolist() == [model.quantile(axis, p) for p in ps]
+            assert got.tolist() == [reference_sample_quantile(model, axis, p) for p in ps]
+
+    @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=0, max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_function(self, ps):
+        model = FunctionMarginals(
+            cdfs=[lambda x: x, lambda x: x / 3.0],
+            quantiles=[lambda p: p**2, lambda p: 3.0 * p - 0.25],
+        )
+        for axis in range(2):
+            got = model.quantiles(axis, ps)
+            assert got.dtype == np.float64
+            assert got.tolist() == [model.quantile(axis, p) for p in ps]
+
+    def test_rejects_out_of_range(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        model = GridMarginals([grid], [np.ones(5)])
+        with pytest.raises(ValueError):
+            model.quantiles(0, [0.5, 1.5])
+        with pytest.raises(ValueError):
+            model.quantiles(0, [float("nan")])
+        with pytest.raises(IndexError):
+            model.quantiles(1, [0.5])

@@ -227,3 +227,130 @@ class TestMixture:
         assert m.quantile(0, 0.5) == pytest.approx(0.0, abs=0.05)
         qs = [m.quantile(0, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+
+# ----------------------------------------------------------------------
+# Shared per-shape marginal tables for ball regions
+# ----------------------------------------------------------------------
+
+
+def reference_ball_marginals(region, sigma=None, points=1025):
+    """The per-object grid build the shared tables replaced.
+
+    Each axis gets its own grid ``linspace(c - r, c + r)`` and a profile
+    evaluated at ``u = grid - c`` (``sigma=None``: uniform ball).
+    """
+    from repro.uncertainty.marginals import GridMarginals
+
+    d, r = region.dim, region.radius
+    grids, profiles = [], []
+    for axis in range(d):
+        c = float(region.center[axis])
+        grid = np.linspace(c - r, c + r, points)
+        u = grid - c
+        residual = np.maximum(r**2 - u**2, 0.0)
+        if sigma is None:
+            profile = np.ones_like(u) if d == 1 else residual ** ((d - 1) / 2.0)
+        else:
+            profile = np.exp(-(u**2) / (2.0 * sigma**2))
+            if d > 1:
+                profile = profile * special.gammainc((d - 1) / 2.0, residual / (2.0 * sigma**2))
+        grids.append(grid)
+        profiles.append(profile)
+    return GridMarginals(grids, profiles)
+
+
+def _ball_object(kind, centre, radius=250.0, sigma=125.0, model=None):
+    from repro.uncertainty.objects import UncertainObject
+
+    region = BallRegion(np.asarray(centre, dtype=np.float64), radius)
+    if kind == "uniform":
+        pdf = UniformDensity(region)
+    else:
+        pdf = ConstrainedGaussianDensity(region, sigma=sigma)
+    if model is not None:
+        pdf._marginals = model
+    return UncertainObject(0, pdf)
+
+
+class TestBallShapeTables:
+    @pytest.mark.parametrize("kind", ["uniform", "congau"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pcrs_match_per_object_build(self, kind, dim):
+        from repro.core.catalog import UCatalog
+        from repro.core.pcr import compute_pcrs
+
+        catalog = UCatalog.paper_utree_default()
+        sigma = None if kind == "uniform" else 125.0
+        rng = np.random.default_rng(dim)
+        for _ in range(8):
+            centre = rng.uniform(0.0, 1e4, dim)
+            region = BallRegion(centre, 250.0)
+            shared = compute_pcrs(_ball_object(kind, centre), catalog).boxes
+            old = compute_pcrs(
+                _ball_object(kind, centre, model=reference_ball_marginals(region, sigma)), catalog
+            ).boxes
+            fine = compute_pcrs(
+                _ball_object(
+                    kind, centre, model=reference_ball_marginals(region, sigma, points=65_537)
+                ),
+                catalog,
+            ).boxes
+            assert np.max(np.abs(shared - old)) <= 1e-6
+            slack = 4 * np.spacing(np.max(np.abs(fine)))
+            assert np.max(np.abs(shared - fine)) <= np.max(np.abs(old - fine)) + slack
+
+    @pytest.mark.parametrize("kind", ["uniform", "congau"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_translation_moves_pcrs_by_the_translation(self, kind, dim):
+        from repro.core.catalog import UCatalog
+        from repro.core.pcr import compute_pcrs
+
+        catalog = UCatalog.paper_utree_default()
+        rng = np.random.default_rng(10 + dim)
+        for _ in range(8):
+            a = rng.uniform(0.0, 1e4, dim)
+            shift = rng.uniform(-1e3, 1e3, dim)
+            pa = compute_pcrs(_ball_object(kind, a), catalog).boxes
+            pb = compute_pcrs(_ball_object(kind, a + shift), catalog).boxes
+            ulps = np.spacing(np.maximum(np.abs(pa), np.abs(pb)))
+            assert np.all(np.abs((pb - pa) - shift) <= 4 * ulps)
+
+    def test_shapes_share_one_read_only_table(self):
+        from repro.uncertainty.pdfs import _ball_table
+
+        first = _ball_object("congau", [100.0, 200.0]).pdf.marginals()
+        second = _ball_object("congau", [900.0, -50.0]).pdf.marginals()
+        grid, cdf = _ball_table("congau", 2, 250.0, 125.0)
+        for model in (first, second):
+            for axis in range(2):
+                assert model._grids[axis] is grid and model._cdfs[axis] is cdf
+        assert not grid.flags.writeable and not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0] = 1.0
+
+    def test_table_memo_is_bounded(self):
+        from repro.uncertainty.pdfs import _SHAPE_TABLES, _ball_table
+
+        for k in range(_SHAPE_TABLES + 20):
+            _ball_object("uniform", [0.0, 0.0], radius=10.0 + k).pdf.marginals()
+        info = _ball_table.cache_info()
+        assert info.maxsize == _SHAPE_TABLES
+        assert info.currsize <= _SHAPE_TABLES
+
+    def test_centred_ball_check_runs_once_per_density(self, monkeypatch):
+        calls = []
+        allclose = np.allclose
+
+        def counting_allclose(*args, **kwargs):
+            calls.append(args)
+            return allclose(*args, **kwargs)
+
+        monkeypatch.setattr(np, "allclose", counting_allclose)
+        region = BallRegion([1.0, 2.0], 3.0)
+        centred = ConstrainedGaussianDensity(region, sigma=1.0)
+        centred.marginals()
+        off = ConstrainedGaussianDensity(region, sigma=1.0, mean=[1.5, 2.0])
+        off.marginals()
+        assert len(calls) == 2
+        assert centred._centred_ball and not off._centred_ball
