@@ -29,7 +29,14 @@ from repro.core.cfb import LinearBoxFunction
 from repro.core.pcr import PCRSet
 from repro.geometry.rect import Rect
 
-__all__ = ["Verdict", "covers_band", "PCRRules", "CFBRules", "subtree_may_qualify"]
+__all__ = [
+    "Verdict",
+    "covers_band",
+    "PCRRules",
+    "CFBRules",
+    "observation4_layer",
+    "subtree_may_qualify",
+]
 
 
 class Verdict(enum.Enum):
@@ -237,6 +244,20 @@ class CFBRules(_RuleEngine):
         return self.verdict(mbr, query, pq)
 
 
+def observation4_layer(catalog: UCatalog, pq: float) -> int:
+    """The catalog index Observation 4 consults for threshold ``pq``.
+
+    The largest catalog value ``p_j <= p_q``, or ``0`` when ``p_q`` is
+    below every value (capped at ``p_m`` when ``p_q`` exceeds every
+    value, per the paper's argument for ``p_q > 1 - p_m``).  It depends
+    on the query alone, so a tree descent resolves it once per query.
+    """
+    if not 0.0 < pq <= 1.0:
+        raise ValueError(f"query threshold must be in (0, 1], got {pq}")
+    j = catalog.index_of_largest_at_most(pq)
+    return 0 if j is None else j
+
+
 def subtree_may_qualify(
     catalog: UCatalog,
     entry_box_at,
@@ -248,13 +269,8 @@ def subtree_may_qualify(
     ``entry_box_at(j)`` must return the entry's bounding box at catalog
     index ``j`` (``e.MBR(p_j)`` for the U-tree, the stored per-level union
     for U-PCR).  The subtree is visited only if the query intersects the
-    box at the largest catalog value ``p_j <= p_q`` (capped at ``p_m``
-    when ``p_q`` exceeds every catalog value, per the paper's argument for
-    ``p_q > 1 - p_m``).
+    box at :func:`observation4_layer`.  The single-box form, used for a
+    shard's bound; tree descents decide a whole node's children at once
+    with :meth:`repro.index.engine.RStarEngine.traverse_layer`.
     """
-    if not 0.0 < pq <= 1.0:
-        raise ValueError(f"query threshold must be in (0, 1], got {pq}")
-    j = catalog.index_of_largest_at_most(pq)
-    if j is None:
-        j = 0
-    return query.intersects(entry_box_at(j))
+    return query.intersects(entry_box_at(observation4_layer(catalog, pq)))

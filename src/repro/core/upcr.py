@@ -29,12 +29,11 @@ from repro.core.filterkernel import (
     resolve_filter_kernel,
 )
 from repro.core.pcr import PCRSet, compute_pcrs
-from repro.core.pruning import PCRRules, Verdict, subtree_may_qualify
+from repro.core.pruning import PCRRules, Verdict, observation4_layer
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.utree import UpdateCost
 from repro.exec.access import FilterResult
 from repro.exec.executor import execute_query
-from repro.geometry.rect import Rect
 from repro.index.engine import RStarEngine
 from repro.index.node import Entry
 from repro.storage.bufferpool import BufferPool
@@ -213,42 +212,39 @@ class UPCRTree:
     def filter_candidates(self, query: ProbRangeQuery) -> FilterResult:
         """Filter phase: subtree pruning plus Observation-2 leaf checks.
 
-        With the kernel on, visited leaf records are classified by one
-        stacked Rules-1-5 call over the exact-PCR sidecar; verdicts,
-        ordering and node accesses match the scalar path bit for bit.
+        The descent is :meth:`RStarEngine.traverse_layer` at the
+        Observation-4 layer, in both kernel modes.  With the kernel on,
+        visited leaf records are classified by one stacked Rules-1-5 call
+        over the exact-PCR sidecar; verdicts, ordering and node accesses
+        match the scalar path bit for bit.
         """
         rq = query.rect
         pq = query.threshold
         result = FilterResult()
-
-        def descend(entry: Entry) -> bool:
-            return subtree_may_qualify(
-                self.catalog,
-                lambda j: Rect.from_arrays(entry.profile[j, 0], entry.profile[j, 1]),
-                rq,
-                pq,
-            )
+        j = observation4_layer(self.catalog, pq)
 
         kernel = self.active_kernel
         if kernel is not None:
             records: list[UPCRLeafRecord] = []
-            result.node_accesses = self.engine.traverse(
-                descend, lambda entry: records.append(entry.data)
+            result.node_accesses = self.engine.traverse_layer(
+                j, rq.lo, rq.hi,
+                lambda entries: records.extend(e.data for e in entries),
             )
             classify_records(kernel, records, rq, pq, result)
             return result
 
-        def on_leaf(entry: Entry) -> None:
-            record: UPCRLeafRecord = entry.data
-            verdict = record.rules.apply(rq, pq)
-            if verdict is Verdict.VALIDATED:
-                result.validated.append(record.oid)
-            elif verdict is Verdict.CANDIDATE:
-                result.candidates.append((record.oid, record.address))
-            else:
-                result.pruned += 1
+        def on_leaf(entries: list[Entry]) -> None:
+            for entry in entries:
+                record: UPCRLeafRecord = entry.data
+                verdict = record.rules.apply(rq, pq)
+                if verdict is Verdict.VALIDATED:
+                    result.validated.append(record.oid)
+                elif verdict is Verdict.CANDIDATE:
+                    result.candidates.append((record.oid, record.address))
+                else:
+                    result.pruned += 1
 
-        result.node_accesses = self.engine.traverse(descend, on_leaf)
+        result.node_accesses = self.engine.traverse_layer(j, rq.lo, rq.hi, on_leaf)
         return result
 
     def query(self, query: ProbRangeQuery) -> QueryAnswer:

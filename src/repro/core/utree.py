@@ -32,7 +32,7 @@ from repro.core.filterkernel import (
     resolve_filter_kernel,
 )
 from repro.core.pcr import compute_pcrs
-from repro.core.pruning import CFBRules, Verdict, subtree_may_qualify
+from repro.core.pruning import CFBRules, Verdict, observation4_layer
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.exec.access import FilterResult
 from repro.exec.executor import execute_query
@@ -282,44 +282,41 @@ class UTree:
         """Filter phase: prune with Observation 4, classify leaves with
         Observation 3, leave survivors for the executor's refinement.
 
-        Subtree descent is identical in both kernel modes; with the
-        kernel on, visited leaf records are collected in traversal order
-        and classified by one stacked Rules-1-5 call instead of one
-        scalar rule pass per record — verdicts, ordering and node
-        accesses are bit-identical.
+        The descent is the same in both kernel modes: Observation 4's
+        layer is resolved once per query and each visited inner node
+        decides all its children at once (:meth:`RStarEngine.traverse_layer`).
+        With the kernel on, visited leaf records are collected in
+        traversal order and classified by one stacked Rules-1-5 call
+        instead of one scalar rule pass per record; verdicts, ordering
+        and node accesses are bit-identical.
         """
         rq = query.rect
         pq = query.threshold
         result = FilterResult()
-
-        def descend(entry: Entry) -> bool:
-            return subtree_may_qualify(
-                self.catalog,
-                lambda j: Rect.from_arrays(entry.profile[j, 0], entry.profile[j, 1]),
-                rq,
-                pq,
-            )
+        j = observation4_layer(self.catalog, pq)
 
         kernel = self.active_kernel
         if kernel is not None:
             records: list[UTreeLeafRecord] = []
-            result.node_accesses = self.engine.traverse(
-                descend, lambda entry: records.append(entry.data)
+            result.node_accesses = self.engine.traverse_layer(
+                j, rq.lo, rq.hi,
+                lambda entries: records.extend(e.data for e in entries),
             )
             classify_records(kernel, records, rq, pq, result)
             return result
 
-        def on_leaf(entry: Entry) -> None:
-            record: UTreeLeafRecord = entry.data
-            verdict = record.rules.apply(record.mbr, rq, pq)
-            if verdict is Verdict.VALIDATED:
-                result.validated.append(record.oid)
-            elif verdict is Verdict.CANDIDATE:
-                result.candidates.append((record.oid, record.address))
-            else:
-                result.pruned += 1
+        def on_leaf(entries: list[Entry]) -> None:
+            for entry in entries:
+                record: UTreeLeafRecord = entry.data
+                verdict = record.rules.apply(record.mbr, rq, pq)
+                if verdict is Verdict.VALIDATED:
+                    result.validated.append(record.oid)
+                elif verdict is Verdict.CANDIDATE:
+                    result.candidates.append((record.oid, record.address))
+                else:
+                    result.pruned += 1
 
-        result.node_accesses = self.engine.traverse(descend, on_leaf)
+        result.node_accesses = self.engine.traverse_layer(j, rq.lo, rq.hi, on_leaf)
         return result
 
     def query(self, query: ProbRangeQuery) -> QueryAnswer:

@@ -261,14 +261,12 @@ def refine_with_engine(
     ordered_oids: list[int] = []
     for page_id, group in sorted(by_page.items()):
         stats.data_page_reads += 1  # logical charge, fetched or not
-        if memo is not None:
-            unmemoized = [
-                (oid, addr) for oid, addr in group if (addr, rect) not in memo
-            ]
-        else:
-            unmemoized = group
+        # One memo lookup per pair: the key hashes the query rect, so
+        # it is built once and reused for the store below.
+        keys = [(address, rect) for _, address in group]
+        known = [None] * len(group) if memo is None else [memo.get(k) for k in keys]
         payloads = None
-        if unmemoized:
+        if None in known:
             if pages is not None and page_id in pages:
                 payloads = pages[page_id]
             elif page_loader is not None:
@@ -279,11 +277,11 @@ def refine_with_engine(
                 payloads = data_file.read_page(page_id)
                 fetch_seconds += time.perf_counter() - fetch_start
                 fetched_pages += 1
-        for oid, address in group:
+        for (oid, address), key, value in zip(group, keys, known):
             slot = len(ordered_oids)
             ordered_oids.append(oid)
-            if memo is not None and (address, rect) in memo:
-                verdicts.append(memo[(address, rect)])
+            if value is not None:
+                verdicts.append(value)
                 stats.memoized_probs += 1
                 continue
             obj = payloads[address.slot]
@@ -293,7 +291,7 @@ def refine_with_engine(
                 )
             verdicts.append(0.0)  # placeholder, filled from the batch below
             pending_pairs.append((slot, obj))
-            pending_keys.append((address, rect))
+            pending_keys.append(key)
 
     if pending_pairs:
         hits_before, misses_before = engine.cache.counters()

@@ -40,7 +40,18 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.layout import NodeLayout
 from repro.storage.pager import IOCounter, PageStore
 
-__all__ = ["RStarEngine"]
+__all__ = ["RStarEngine", "layer_hits"]
+
+
+def layer_hits(
+    entries: list[Entry], j: int, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Ascending indices of the entries whose layer-``j`` box meets the
+    closed box ``[lo, hi]``: one stacked comparison for the whole node."""
+    if not entries:
+        return np.empty(0, dtype=np.intp)
+    boxes = np.array([e.profile for e in entries])[:, j]
+    return np.flatnonzero((boxes[:, 0] <= hi).all(1) & (boxes[:, 1] >= lo).all(1))
 
 
 class RStarEngine:
@@ -155,30 +166,35 @@ class RStarEngine:
         self._flush_dirty()
         return True
 
-    def traverse(
+    def traverse_layer(
         self,
-        descend: Callable[[Entry], bool],
-        on_leaf_entry: Callable[[Entry], None],
+        j: int,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        on_leaf: Callable[[list[Entry]], None],
     ) -> int:
-        """Generic guided traversal, charging one page read per visited node.
+        """Observation-4 descent at layer ``j``, one page read per visited node.
 
-        ``descend(entry)`` decides whether an intermediate entry's subtree
-        is visited; every entry of every visited leaf is passed to
-        ``on_leaf_entry``.  Returns the number of node accesses.
+        An intermediate entry's subtree is visited iff its layer-``j``
+        box meets the closed query box ``[lo, hi]``.  Each visited inner
+        node decides all of its children with one stacked comparison;
+        the survivors are pushed in entry order, so nodes are visited
+        depth-first, last child first, exactly as a per-entry walk would.
+        ``on_leaf`` receives each visited leaf's entry list in visit
+        order.  Returns the number of node accesses.
         """
         stack = [self.root]
+        touch = self.store.touch_read
         accesses = 0
         while stack:
             node = stack.pop()
-            self.store.touch_read(node.page_id)
+            touch(node.page_id)
             accesses += 1
-            if node.is_leaf:
-                for entry in node.entries:
-                    on_leaf_entry(entry)
+            entries = node.entries
+            if node.level == 0:
+                on_leaf(entries)
             else:
-                for entry in node.entries:
-                    if descend(entry):
-                        stack.append(entry.child)  # type: ignore[arg-type]
+                stack.extend(entries[i].child for i in layer_hits(entries, j, lo, hi))
         return accesses
 
     def leaf_entries(self) -> Iterator[Entry]:

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from repro.geometry.rect import Rect
-from repro.index.engine import RStarEngine
+from repro.index.engine import RStarEngine, layer_hits
 from repro.index.node import Entry
 from repro.storage.layout import rstar_layout
 from repro.storage.pager import IOCounter
@@ -54,15 +54,12 @@ class RStarTree:
     def range_search(self, query: Rect) -> tuple[list[Any], int]:
         """All payloads intersecting ``query`` plus the node-access count."""
         results: list[Any] = []
+        lo, hi = query.lo, query.hi
 
-        def descend(entry: Entry) -> bool:
-            return query.intersects(Rect(entry.profile[0, 0], entry.profile[0, 1]))
+        def on_leaf(entries: list[Entry]) -> None:
+            results.extend(entries[i].data for i in layer_hits(entries, 0, lo, hi))
 
-        def on_leaf(entry: Entry) -> None:
-            if query.intersects(Rect(entry.profile[0, 0], entry.profile[0, 1])):
-                results.append(entry.data)
-
-        accesses = self.engine.traverse(descend, on_leaf)
+        accesses = self.engine.traverse_layer(0, lo, hi, on_leaf)
         return results, accesses
 
     def timed_range_search(self, query: Rect) -> tuple[list[Any], int, float]:

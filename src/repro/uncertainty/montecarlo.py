@@ -18,7 +18,8 @@ points and re-evaluates the same densities.  :class:`SampleCache` exploits
 that: it stores one :class:`ObjectSamples` (per-axis point columns,
 per-point densities, normalising total) per object, so the stream is
 drawn once and every subsequent estimate reduces to a mask-and-sum over
-cached arrays (:func:`mask_reduce`).  Results
+cached arrays (:func:`mask_reduce`, which also skips the rectangle faces
+the cloud's stored per-axis bounds show every sample passes).  Results
 are bit-identical to the uncached path because the cache replays exactly
 the draw the estimator would have made.
 """
@@ -30,7 +31,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +68,10 @@ class ObjectSamples:
         total: ``float(weights.sum())`` — the estimator's normaliser,
             stored so cached and uncached estimates divide by the exact
             same float.
+        low: per-axis minimum of the drawn coordinates (Python floats).
+        high: per-axis maximum of the drawn coordinates.  With ``low``
+            it lets :func:`mask_reduce` skip every rectangle face that
+            no sample lies beyond.
         density_ref: weak reference to the density the cloud was drawn
             from.  Object ids can be reused (delete + re-insert), so a
             cache hit is only valid if the requesting density is the
@@ -77,6 +82,8 @@ class ObjectSamples:
     columns: np.ndarray
     weights: np.ndarray
     total: float
+    low: tuple[float, ...]
+    high: tuple[float, ...]
     density_ref: "weakref.ref | None" = None
 
     @property
@@ -118,9 +125,10 @@ def draw_samples(
     weighted row-major exactly as the region and density define them;
     only then are they copied into one ``(d + 1, n1)`` buffer whose first
     ``d`` rows are ``columns`` and whose last row is ``weights``, so the
-    values (and ``total``) do not depend on the layout.  Clouds of at
-    least :data:`MMAP_FLOOR_BYTES` live in an anonymous mapping outside
-    the malloc heap.
+    values (and ``total``) do not depend on the layout.  The per-axis
+    bounds ``low``/``high`` are reduced over the contiguous columns.
+    Clouds of at least :data:`MMAP_FLOOR_BYTES` live in an anonymous
+    mapping outside the malloc heap.
     """
     rng = np.random.default_rng((seed, object_id))
     points = density.region.sample(n_samples, rng)
@@ -129,10 +137,13 @@ def draw_samples(
     buffer = _cloud_buffer(dim + 1, len(weights))
     buffer[:dim] = points.T
     buffer[dim] = weights
+    columns = buffer[:dim]
     return ObjectSamples(
-        columns=buffer[:dim],
+        columns=columns,
         weights=buffer[dim],
         total=float(weights.sum()),
+        low=tuple(columns.min(axis=1).tolist()),
+        high=tuple(columns.max(axis=1).tolist()),
         density_ref=weakref.ref(density),
     )
 
@@ -141,22 +152,44 @@ def mask_reduce(samples: ObjectSamples, rect: Rect) -> float:
     """Eq. 3 over a drawn cloud: the weight share of the samples in ``rect``.
 
     The single reduction behind every P_app estimate, scalar or batched.
-    The inside mask is ANDed one axis at a time over the contiguous
-    columns; it equals ``rect.contains_points(samples.points)`` element
-    for element (the comparisons are exact), so the masked sum adds the
-    same weights in the same order.
+    It equals ``weights[rect.contains_points(points)].sum() / total`` bit
+    for bit:
+
+    * a face that no sample lies beyond (``rect.lo[a] <= low[a]`` or
+      ``rect.hi[a] >= high[a]``) holds for every sample, so its
+      comparison is skipped;
+    * an axis whose interval misses ``[low[a], high[a]]`` selects no
+      sample, so the share is the empty sum, ``0.0 / total``;
+    * with no face crossing the cloud, every sample is in, and the full
+      sum is ``total`` itself;
+    * otherwise the mask is ANDed one axis at a time over the contiguous
+      columns, and ``weights.compress(mask)`` gathers the same weights in
+      the same order as ``weights[mask]``, so the sum is the same float.
     """
-    if samples.total <= 0.0:
+    total = samples.total
+    if total <= 0.0:
         return 0.0
     columns = samples.columns
-    lo = rect.lo
-    hi = rect.hi
-    inside = columns[0] >= lo[0]
-    inside &= columns[0] <= hi[0]
-    for axis in range(1, len(columns)):
-        inside &= columns[axis] >= lo[axis]
-        inside &= columns[axis] <= hi[axis]
-    return float(samples.weights[inside].sum()) / samples.total
+    low = samples.low
+    high = samples.high
+    inside = None
+    for axis, (lo, hi) in enumerate(zip(rect.lo.tolist(), rect.hi.tolist())):
+        if lo > high[axis] or hi < low[axis]:
+            return 0.0 / total
+        column = columns[axis]
+        if lo > low[axis]:
+            if inside is None:
+                inside = column >= lo
+            else:
+                inside &= column >= lo
+        if hi < high[axis]:
+            if inside is None:
+                inside = column <= hi
+            else:
+                inside &= column <= hi
+    if inside is None:
+        return total / total
+    return float(samples.weights.compress(inside).sum()) / total
 
 
 class SampleCache:
@@ -333,17 +366,16 @@ class SampleCache:
         live in shared anonymous mappings, so forked workers read one
         physical copy.  The ``(d, n1)`` column buffer is shared as it is
         (already C-contiguous), so workers keep contiguous columns and
-        ``points`` stays a view of it.  Totals and density refs are
-        preserved, so estimates remain bit-identical.  Returns the
-        number of clouds rebound.
+        ``points`` stays a view of it.  Totals, cloud bounds and density
+        refs are preserved, so estimates remain bit-identical.  Returns
+        the number of clouds rebound.
         """
         with self._lock:
             for oid, entry in list(self._entries.items()):
-                self._entries[oid] = ObjectSamples(
+                self._entries[oid] = replace(
+                    entry,
                     columns=share(entry.columns),
                     weights=share(entry.weights),
-                    total=entry.total,
-                    density_ref=entry.density_ref,
                 )
             return len(self._entries)
 

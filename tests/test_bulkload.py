@@ -53,11 +53,15 @@ class TestEngineBulkLoad:
         query = Rect([200, 200], [700, 700])
         for engine in (packed, inserted):
             found = []
-            engine.traverse(
-                lambda e: query.intersects(Rect(e.profile[0, 0], e.profile[0, 1])),
-                lambda e: found.append(e.data)
-                if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
-                else None,
+            engine.traverse_layer(
+                0,
+                query.lo,
+                query.hi,
+                lambda entries: found.extend(
+                    e.data
+                    for e in entries
+                    if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
+                ),
             )
             found.sort()
             if engine is packed:

@@ -8,19 +8,25 @@ recall/precision of guided traversal against brute force.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.catalog import UCatalog
+from repro.core.pruning import Verdict, observation4_layer, subtree_may_qualify
+from repro.core.query import ProbRangeQuery
 from repro.core.upcr import UPCRTree
 from repro.core.utree import UTree
 from repro.geometry.rect import Rect
 from repro.index import metrics
 from repro.index.engine import RStarEngine
 from repro.index.node import Entry, Node
+from repro.index.rstar import RStarTree
 from repro.storage.layout import NodeLayout
 from tests.conftest import make_mixed_objects
 
@@ -216,11 +222,15 @@ class TestSingleLayerEngine:
 
         query = Rect([200, 200], [500, 500])
         found = []
-        engine.traverse(
-            lambda e: query.intersects(Rect(e.profile[0, 0], e.profile[0, 1])),
-            lambda e: found.append(e.data)
-            if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
-            else None,
+        engine.traverse_layer(
+            0,
+            query.lo,
+            query.hi,
+            lambda entries: found.extend(
+                e.data
+                for e in entries
+                if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
+            ),
         )
         expected = [i for i, r in enumerate(items) if query.intersects(r)]
         assert sorted(found) == sorted(expected)
@@ -232,7 +242,8 @@ class TestSingleLayerEngine:
             lo = rng.uniform(0, 100, 2)
             engine.insert(single_layer_profile(lo, lo + 5), i)
         engine.io.reset()
-        accesses = engine.traverse(lambda e: True, lambda e: None)
+        everywhere = np.full(2, np.inf)
+        accesses = engine.traverse_layer(0, -everywhere, everywhere, lambda entries: None)
         assert accesses == engine.io.reads
         assert accesses == engine.node_count
 
@@ -456,3 +467,177 @@ class TestPinnedShape:
         assert tree.engine.height >= 3
         assert (tree.engine.node_count, tree.engine.height) == (node_count, height)
         assert leaf_oid_digest(tree.engine) == digest
+
+
+# ----------------------------------------------------------------------
+# The layer traversal against the per-entry walk it replaced
+# ----------------------------------------------------------------------
+ORACLE_CATALOG = UCatalog([0.05, 0.15, 0.25, 0.35, 0.45])
+
+
+def per_entry_walk(engine: RStarEngine, descend, on_leaf_entry) -> list[int]:
+    """The per-entry traversal the layer descent replaced: one ``descend``
+    call per intermediate entry, children pushed in entry order, every
+    entry of every visited leaf handed over.  Returns the visited page
+    ids in visit order."""
+    stack = [engine.root]
+    visits = []
+    while stack:
+        node = stack.pop()
+        visits.append(node.page_id)
+        if node.is_leaf:
+            for entry in node.entries:
+                on_leaf_entry(entry)
+        else:
+            for entry in node.entries:
+                if descend(entry):
+                    stack.append(entry.child)
+    return visits
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_structure(kind: str, kernel: str, size: str):
+    """A deep (small pages) or one-leaf tree, built once per test session."""
+    objects = make_mixed_objects(3 if size == "one-leaf" else 150, seed=13)
+    if kind == "rstar":
+        tree = RStarTree(2, page_size=512)
+        for obj in objects:
+            tree.insert(obj.mbr, obj.oid)
+    elif kind == "utree":
+        tree = UTree(2, ORACLE_CATALOG, page_size=1024, filter_kernel=kernel)
+    else:
+        tree = UPCRTree(2, ORACLE_CATALOG, page_size=1024, filter_kernel=kernel)
+    if kind != "rstar":
+        for obj in objects:
+            tree.insert(obj)
+        for obj in objects[::7]:
+            tree.delete(obj.oid)
+    assert (tree.engine.height == 1) == (size == "one-leaf")
+    return tree
+
+
+def all_entries(engine: RStarEngine) -> list[Entry]:
+    out = []
+    stack = [engine.root]
+    while stack:
+        node = stack.pop()
+        out.extend(node.entries)
+        if not node.is_leaf:
+            stack.extend(e.child for e in node.entries)
+    return out
+
+
+@st.composite
+def oracle_cases(draw):
+    kind = draw(st.sampled_from(["utree", "upcr", "rstar"]))
+    kernel = draw(st.sampled_from(["on", "off"]))
+    size = draw(st.sampled_from(["deep", "deep", "one-leaf"]))
+    tree = oracle_structure(kind, kernel, size)
+    pq = draw(
+        st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.6, 1.0])  # < p_1, p_1, p_m, > p_m
+        | st.floats(min_value=1e-6, max_value=1.0)
+    )
+    j = 0 if kind == "rstar" else observation4_layer(tree.catalog, pq)
+    if draw(st.booleans()):
+        # Touch one stored box (inner or leaf) on one face only.
+        entries = all_entries(tree.engine)
+        box = entries[draw(st.integers(0, len(entries) - 1))].profile[j]
+        axis = draw(st.integers(0, 1))
+        extent = draw(st.floats(min_value=0.0, max_value=2000.0))
+        lo = box[0].copy()
+        hi = box[1].copy()
+        if draw(st.booleans()):
+            lo[axis] = box[1, axis]
+            hi[axis] = box[1, axis] + extent
+        else:
+            hi[axis] = box[0, axis]
+            lo[axis] = box[0, axis] - extent
+        rect = Rect(lo, hi)
+    else:
+        x, y = (draw(st.floats(min_value=-500.0, max_value=10500.0)) for _ in range(2))
+        w, h = (draw(st.floats(min_value=0.0, max_value=4000.0)) for _ in range(2))
+        rect = Rect([x, y], [x + w, y + h])
+    return kind, tree, rect, pq, j
+
+
+class TestLayerTraversalOracle:
+    """``traverse_layer`` visits the same nodes in the same order, hands
+    over the same leaf records in the same order and charges the same
+    node accesses as the per-entry walk, for every structure and both
+    kernel modes."""
+
+    @given(oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_entry_walk(self, case):
+        kind, tree, rect, pq, j = case
+        engine = tree.engine
+        if kind == "rstar":
+            def descend(entry):
+                return rect.intersects(Rect(entry.profile[0, 0], entry.profile[0, 1]))
+        else:
+            def descend(entry):
+                return subtree_may_qualify(
+                    tree.catalog,
+                    lambda k: Rect(entry.profile[k, 0], entry.profile[k, 1]),
+                    rect,
+                    pq,
+                )
+        want_leaves: list[Entry] = []
+        want_visits = per_entry_walk(engine, descend, want_leaves.append)
+
+        visits: list[int] = []
+        leaves: list[Entry] = []
+        touch = engine.store.touch_read
+        def recording_touch(page_id):
+            visits.append(page_id)
+            touch(page_id)
+
+        engine.store.touch_read = recording_touch
+        try:
+            reads = engine.io.reads
+            accesses = engine.traverse_layer(j, rect.lo, rect.hi, leaves.extend)
+            assert engine.io.reads - reads == accesses
+        finally:
+            del engine.store.touch_read
+        assert visits == want_visits
+        assert accesses == len(want_visits)
+        assert [id(e) for e in leaves] == [id(e) for e in want_leaves]
+
+        if kind == "rstar":
+            found, accesses = tree.range_search(rect)
+            assert accesses == len(want_visits)
+            assert found == [
+                e.data for e in want_leaves
+                if rect.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
+            ]
+            return
+        result = tree.filter_candidates(ProbRangeQuery(rect, pq))
+        assert result.node_accesses == len(want_visits)
+        validated, candidates, pruned = [], [], 0
+        for entry in want_leaves:
+            record = entry.data
+            if kind == "utree":
+                verdict = record.rules.apply(record.mbr, rect, pq)
+            else:
+                verdict = record.rules.apply(rect, pq)
+            if verdict is Verdict.VALIDATED:
+                validated.append(record.oid)
+            elif verdict is Verdict.CANDIDATE:
+                candidates.append((record.oid, record.address))
+            else:
+                pruned += 1
+        assert result.validated == validated
+        assert result.candidates == candidates
+        assert result.pruned == pruned
+
+    @pytest.mark.parametrize("kind", ["utree", "upcr"])
+    @pytest.mark.parametrize("kernel", ["on", "off"])
+    @pytest.mark.parametrize("size", ["deep", "one-leaf"])
+    @pytest.mark.parametrize("pq", [0.0, -0.2, 1.0 + 1e-12, 2.0])
+    def test_threshold_outside_unit_interval_raises(self, kind, kernel, size, pq):
+        tree = oracle_structure(kind, kernel, size)
+        query = types.SimpleNamespace(rect=Rect([0, 0], [10_000, 10_000]), threshold=pq)
+        with pytest.raises(ValueError, match=r"query threshold must be in \(0, 1\]"):
+            tree.filter_candidates(query)
+        with pytest.raises(ValueError, match=r"query threshold must be in \(0, 1\]"):
+            subtree_may_qualify(tree.catalog, lambda k: query.rect, query.rect, pq)

@@ -52,11 +52,15 @@ class EngineMachine(RuleBasedStateMachine):
     def search(self, x, y, w, h):
         query = Rect([x, y], [x + w, y + h])
         found: list[int] = []
-        self.engine.traverse(
-            lambda e: query.intersects(Rect(e.profile[0, 0], e.profile[0, 1])),
-            lambda e: found.append(e.data)
-            if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
-            else None,
+        self.engine.traverse_layer(
+            0,
+            query.lo,
+            query.hi,
+            lambda entries: found.extend(
+                e.data
+                for e in entries
+                if query.intersects(Rect(e.profile[0, 0], e.profile[0, 1]))
+            ),
         )
         expected = sorted(i for i, r in self.model.items() if query.intersects(r))
         assert sorted(found) == expected

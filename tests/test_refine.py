@@ -14,6 +14,8 @@ import mmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import ProbRangeQuery
 from repro.core.utree import UTree
@@ -26,6 +28,7 @@ from repro.uncertainty.montecarlo import (
     AppearanceEstimator,
     SampleCache,
     draw_samples,
+    mask_reduce,
 )
 from repro.uncertainty.objects import UncertainObject
 from repro.uncertainty.pdfs import (
@@ -663,3 +666,143 @@ class TestCloudPlacement:
             a.object_ids for a in serial.answers
         ]
         assert forked.batch.sample_cache_misses == 0
+
+
+def _masked_share(samples, rect: Rect) -> float:
+    """Eq. 3 the plain way: boolean-index the row-major mask, then sum."""
+    inside = rect.contains_points(samples.points)
+    return float(samples.weights[inside].sum()) / samples.total
+
+
+def _cloud_density(dim: int, kind: str):
+    centre = np.full(dim, 5000.0)
+    if kind == "ball":
+        return ConstrainedGaussianDensity(BallRegion(centre, 260.0), sigma=120.0)
+    box = BoxRegion(Rect.from_center(centre, 240.0))
+    return zipf_histogram(box, 6, skew=1.1, seed=dim)
+
+
+@st.composite
+def _cloud_rects(draw):
+    """A 1-, 2- or 3-D cloud and a rectangle whose faces sit on the
+    cloud's bounds, on sample coordinates, or away from the cloud."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["ball", "box"]))
+    oid = draw(st.integers(0, 3))
+    samples = draw_samples(_cloud_density(dim, kind), 400, SEED, oid)
+    columns = samples.columns
+    low = columns.min(axis=1)
+    high = columns.max(axis=1)
+    shape = draw(
+        st.sampled_from(["faces", "inside", "outside", "one-face", "degenerate"])
+    )
+
+    def face(axis: int, side: str) -> float:
+        choice = draw(st.sampled_from(["bound", "sample", "beyond", "between"]))
+        if choice == "bound":
+            return float(low[axis] if side == "lo" else high[axis])
+        if choice == "sample":
+            return float(columns[axis, draw(st.integers(0, columns.shape[1] - 1))])
+        if choice == "beyond":
+            return float(low[axis] - 50.0 if side == "lo" else high[axis] + 50.0)
+        return float(draw(st.floats(float(low[axis]), float(high[axis]))))
+
+    lo = np.empty(dim)
+    hi = np.empty(dim)
+    for axis in range(dim):
+        if shape == "faces":
+            a, b = sorted((face(axis, "lo"), face(axis, "hi")))
+        elif shape == "inside":
+            a = float(low[axis]) - draw(st.sampled_from([0.0, 1.0]))
+            b = float(high[axis]) + draw(st.sampled_from([0.0, 1.0]))
+        else:
+            a, b = float(low[axis]) - 1.0, float(high[axis]) + 1.0
+        lo[axis], hi[axis] = a, b
+    axis = draw(st.integers(0, dim - 1))
+    if shape == "outside":
+        # Misses the cloud on one axis by one ulp, or touches only its
+        # extreme sample there.
+        step = draw(st.sampled_from([0, 1]))
+        if draw(st.booleans()):
+            lo[axis] = high[axis]
+            for _ in range(step):
+                lo[axis] = np.nextafter(lo[axis], np.inf)
+            hi[axis] = lo[axis] + 10.0
+        else:
+            hi[axis] = low[axis]
+            for _ in range(step):
+                hi[axis] = np.nextafter(hi[axis], -np.inf)
+            lo[axis] = hi[axis] - 10.0
+    elif shape == "one-face":
+        cut = float(columns[axis, draw(st.integers(0, columns.shape[1] - 1))])
+        if draw(st.booleans()):
+            lo[axis] = cut
+        else:
+            hi[axis] = cut
+    elif shape == "degenerate":
+        point = columns[:, draw(st.integers(0, columns.shape[1] - 1))]
+        lo[axis] = hi[axis] = point[axis]
+        if draw(st.booleans()):
+            lo[:] = hi[:] = point
+    return samples, Rect(lo, hi)
+
+
+class TestMaskReduceExact:
+    """The face-skipping, compressing reduction equals the plain
+    boolean-indexed sum under ``==``, whatever the rectangle."""
+
+    @given(_cloud_rects())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_boolean_indexed_sum(self, case):
+        samples, rect = case
+        assert mask_reduce(samples, rect) == _masked_share(samples, rect)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bounds_are_the_cloud_extremes(self, dim):
+        samples = draw_samples(_cloud_density(dim, "ball"), 400, SEED, 1)
+        assert samples.low == tuple(samples.columns.min(axis=1).tolist())
+        assert samples.high == tuple(samples.columns.max(axis=1).tolist())
+        assert all(type(v) is float for v in samples.low + samples.high)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_crossing_face_is_exactly_one(self, dim):
+        samples = draw_samples(_cloud_density(dim, "box"), 400, SEED, 2)
+        rect = Rect(samples.low, samples.high)
+        assert mask_reduce(samples, rect) == 1.0 == _masked_share(samples, rect)
+
+    def test_rebound_clouds_keep_bounds_and_values(self, zoo, rects):
+        cache = SampleCache(N_SAMPLES, SEED)
+        cache.prewarm((obj.pdf, obj.oid) for obj in zoo)
+        before = {obj.oid: cache.get(obj.pdf, obj.oid) for obj in zoo}
+        arena = SharedArena()
+        try:
+            cache.rebind_resident(arena.share_array)
+            for obj in zoo:
+                after = cache.get(obj.pdf, obj.oid)
+                assert after is not before[obj.oid]
+                assert (after.low, after.high) == (
+                    before[obj.oid].low,
+                    before[obj.oid].high,
+                )
+                for rect in rects:
+                    assert mask_reduce(after, rect) == _masked_share(
+                        before[obj.oid], rect
+                    )
+        finally:
+            arena.close()
+
+    def test_process_executor_prewarm_keeps_bounds(self, zoo, rects):
+        from repro.exec import ProcessBatchExecutor
+
+        tree = UTree(2, estimator=AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED))
+        for obj in zoo:
+            tree.insert(obj)
+        with ProcessBatchExecutor(tree, workers=2, share_samples=True) as ex:
+            ex.run([ProbRangeQuery(rects[0], 0.3)])
+            cache = ex.engine.cache
+            for obj in zoo:
+                shared = cache.get(obj.pdf, obj.oid)
+                fresh = draw_samples(obj.pdf, N_SAMPLES, SEED, obj.oid)
+                assert (shared.low, shared.high) == (fresh.low, fresh.high)
+                for rect in rects:
+                    assert mask_reduce(shared, rect) == _masked_share(fresh, rect)
