@@ -80,7 +80,6 @@ def _build() -> UTree:
         2,
         page_size=PAGE_SIZE,
         estimator=AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED),
-        filter_kernel="on",
     )
     for obj in _objects():
         tree.insert(obj)

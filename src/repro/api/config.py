@@ -6,7 +6,7 @@ overrides.  ``ExecConfig`` is the single place they all resolve:
 
 * construction: ``page_size``, ``pool_capacity`` (0 = the paper's
   uncached accounting), ``mc_samples``/``seed`` (the shared Monte-Carlo
-  estimator), ``filter_kernel``, ``shards``/``partitioner``/``prune``;
+  estimator), ``shards``/``partitioner``/``prune``;
 * execution: ``batched``, ``parallelism``, ``memoize``,
   ``dedupe_pages``, ``io_latency_seconds``, ``auto_observe`` (planner
   calibration);
@@ -16,9 +16,9 @@ overrides.  ``ExecConfig`` is the single place they all resolve:
 
 The config is frozen: derive variants with :meth:`with_options` (a typed
 :func:`dataclasses.replace`).  :meth:`paper_exact` is the preset that
-pins the paper's accounting — capacity-0 buffer pool, scalar filter
-rules, one shard, strictly serial per-query execution — which the
-equivalence tests hold against the seed counters.
+pins the paper's accounting — capacity-0 buffer pool, one shard,
+strictly serial per-query execution — which the equivalence tests hold
+against the seed counters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import json
 from dataclasses import dataclass
 
 from repro import env as repro_env
-from repro.core.filterkernel import FILTER_KERNEL_ENV, resolve_filter_kernel
 from repro.uncertainty.montecarlo import AppearanceEstimator
 
 __all__ = ["ExecConfig"]
@@ -43,9 +42,6 @@ class ExecConfig:
     """The engine's execution configuration (validated, immutable).
 
     Attributes:
-        filter_kernel: ``"on"``/``"off"`` (or a bool) for the vectorized
-            leaf-classification kernel; ``None`` defers to the
-            ``REPRO_FILTER_KERNEL`` environment default at build time.
         shards: child structures per access method (1 = monolithic).
         partitioner: ``"str"`` (spatial tiling) or ``"hash"``.
         prune: let the shard router skip provably disjoint shards.
@@ -133,7 +129,6 @@ class ExecConfig:
             from executed workloads.
     """
 
-    filter_kernel: str | bool | None = None
     shards: int = 1
     partitioner: str = "str"
     prune: bool = True
@@ -207,10 +202,6 @@ class ExecConfig:
             raise ValueError("page_size must be at least 256 bytes")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
-        # Normalise/validate the kernel setting eagerly so a typo fails
-        # at config time, not at the first build.
-        if self.filter_kernel is not None:
-            resolve_filter_kernel(self.filter_kernel)
 
     # ------------------------------------------------------------------
     # presets and variants
@@ -225,11 +216,9 @@ class ExecConfig:
         of the environment-derived fields.
         """
         repro_env.warn_unknown_keys()
-        fields: dict = {}
-        kernel = repro_env.env_value(FILTER_KERNEL_ENV)
-        if kernel is not None:
-            fields["filter_kernel"] = kernel
-        fields["parallelism"] = repro_env.env_int("REPRO_SHARD_PARALLELISM", 1)
+        fields: dict = {
+            "parallelism": repro_env.env_int("REPRO_SHARD_PARALLELISM", 1)
+        }
         executor = repro_env.env_value("REPRO_EXECUTOR")
         if executor is not None and executor.strip():
             fields["executor"] = executor.strip().lower()
@@ -267,13 +256,12 @@ class ExecConfig:
     def paper_exact(cls) -> "ExecConfig":
         """The frozen paper-accounting preset.
 
-        Capacity-0 buffer pool, scalar filter rules, one shard, strictly
-        serial query-at-a-time execution with no cross-query memoisation
-        — node accesses, data-page reads and P_app computation counts
+        Capacity-0 buffer pool, one shard, strictly serial
+        query-at-a-time execution with no cross-query memoisation —
+        node accesses, data-page reads and P_app computation counts
         reproduce the seed implementation exactly.
         """
         return cls(
-            filter_kernel="off",
             shards=1,
             batched=False,
             parallelism=1,
@@ -290,11 +278,6 @@ class ExecConfig:
     # ------------------------------------------------------------------
     # derived wiring
     # ------------------------------------------------------------------
-    @property
-    def kernel_enabled(self) -> bool:
-        """The kernel knob resolved to a bool (env-deferred when unset)."""
-        return resolve_filter_kernel(self.filter_kernel)
-
     @property
     def sharded(self) -> bool:
         return self.shards > 1

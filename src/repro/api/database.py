@@ -14,8 +14,8 @@ owns them all behind one object:
   when several methods are registered, returning typed
   :class:`~repro.api.specs.Result` objects with per-phase stats;
 * :meth:`Database.explain` surfaces the planner's cost comparison and
-  the chosen path — method, shard probe order, kernel on/off — without
-  executing anything;
+  the chosen path — method, shard probe order — without executing
+  anything;
 * :meth:`Database.save` / :meth:`Database.open` persist the whole thing.
 
 Everything underneath is the existing execution layer; the facade adds
@@ -129,53 +129,21 @@ def _build_monolithic(name, dim, catalog, config, estimator, pool):
         from repro.core.utree import UTree
 
         return UTree(
-            dim, catalog, page_size=config.page_size, pool=pool,
-            estimator=estimator, filter_kernel=config.filter_kernel,
+            dim, catalog, page_size=config.page_size, pool=pool, estimator=estimator
         )
     if name == "upcr":
         from repro.core.upcr import UPCRTree
 
         return UPCRTree(
-            dim, catalog, page_size=config.page_size, pool=pool,
-            estimator=estimator, filter_kernel=config.filter_kernel,
+            dim, catalog, page_size=config.page_size, pool=pool, estimator=estimator
         )
     if name == "scan":
         from repro.core.scan import SequentialScan
 
         return SequentialScan(
-            dim, catalog, page_size=config.page_size, pool=pool,
-            estimator=estimator, filter_kernel=config.filter_kernel,
+            dim, catalog, page_size=config.page_size, pool=pool, estimator=estimator
         )
     raise ValueError(f"unknown method {name!r}; pick from {_METHOD_NAMES}")
-
-
-def _structures(method) -> list:
-    """The concrete structures behind a (possibly sharded) method."""
-    if isinstance(method, ShardedAccessMethod):
-        return list(method.shards)
-    return [method]
-
-
-def _kernel_enabled(method) -> bool:
-    """Whether the (possibly sharded) method classifies via the kernel."""
-    return any(
-        getattr(s, "active_kernel", getattr(s, "kernel", None)) is not None
-        for s in _structures(method)
-    )
-
-
-def _set_kernel(method, enabled: bool) -> bool:
-    """Flip query-time kernel use for every structure behind ``method``.
-
-    The sidecar itself stays built and fed either way (update paths
-    never consult the flag), so the toggle is free and instant.  Returns
-    the *effective* state — asking for the kernel on a structure built
-    without one stays off.
-    """
-    for structure in _structures(method):
-        if hasattr(structure, "use_kernel"):
-            structure.use_kernel = bool(enabled)
-    return _kernel_enabled(method)
 
 
 def _live_records(method):
@@ -200,8 +168,8 @@ class Explanation:
     I/O; ``choice`` is the cheapest (or the caller's pin).  For a
     sharded choice, ``shard_probes`` is the router's probe order
     (cheapest first) and ``shards_pruned`` how many shards it proved
-    disjoint.  ``filter_kernel``/``parallelism``/``batched`` describe
-    the execution mode the spec would run under.
+    disjoint.  ``parallelism``/``batched`` describe the execution mode
+    the spec would run under.
     """
 
     spec: QuerySpec
@@ -210,7 +178,6 @@ class Explanation:
     shards: int
     shard_probes: tuple[int, ...]
     shards_pruned: int
-    filter_kernel: bool
     batched: bool
     parallelism: int
     data_records_per_page: float
@@ -261,7 +228,7 @@ class Explanation:
         if self.worker_layout:
             mode += f", shard->worker {list(self.worker_layout)}"
         lines.append(
-            f"  filter kernel: {'on' if self.filter_kernel else 'off'} | {mode} | "
+            f"  mode: {mode} | "
             f"calibration: {self.data_records_per_page:.2f} records/page"
         )
         if self.batched and self.parallelism > 1:
@@ -383,11 +350,9 @@ class Database:
         # Set by open() after WAL replay: {"wal_entries": n}.
         self.last_recovery: dict | None = None
         self.planner = planner if planner is not None else self._build_planner()
-        # Keyed by (method name, executor backend, parallelism, kernel
-        # on/off): per-call overrides select among cached executors
-        # instead of rebuilding them per batch, and the kernel state in
-        # the key keeps forked process pools from serving a batch under
-        # a kernel setting they never saw.
+        # Keyed by (method name, executor backend, parallelism): per-call
+        # overrides select among cached executors instead of rebuilding
+        # them per batch.
         # The lock makes the cache (and close()) safe against a run()
         # in flight on another thread — the query service's shutdown
         # path closes the database while batches may still be draining.
@@ -460,7 +425,6 @@ class Database:
                     pool_capacity=config.pool_capacity,
                     prune=config.prune,
                     probe_bound=config.probe_bound,
-                    filter_kernel=config.filter_kernel,
                 )
             else:
                 pool = (
@@ -599,7 +563,6 @@ class Database:
         return (
             f"Database(methods={self.method_names}, objects={len(self)}, "
             f"shards={self.config.shards}, "
-            f"kernel={'on' if self.config.kernel_enabled else 'off'}, "
             f"parallelism={self.config.parallelism})"
         )
 
@@ -766,10 +729,6 @@ class Database:
             traffic = old.update_traffic
             records = sorted(_live_records(old), key=lambda r: r.oid)
             objects = [old.data_file.peek(r.address) for r in records]
-            kernel_on = _kernel_enabled(old)
-            # Rebuild the sidecars whenever the old shards carried them,
-            # toggled off or not, so a later override can switch them on.
-            kernel_built = any(shard.kernel is not None for shard in old.shards)
             rebuilt = ShardedAccessMethod.build(
                 objects,
                 shards=old.shard_count,
@@ -782,9 +741,7 @@ class Database:
                 pool_capacity=self.config.pool_capacity,
                 prune=old.prune,
                 probe_bound=old.probe_bound,
-                filter_kernel="on" if kernel_built else "off",
             )
-            _set_kernel(rebuilt, kernel_on)
             rebuilt.data_file.reclaim = self.config.reclaim
             self._apply_integrity(rebuilt)
             self._methods[name] = rebuilt
@@ -866,7 +823,7 @@ class Database:
         parallelism = (
             self.config.parallelism if parallelism is None else parallelism
         )
-        key = (name, executor, parallelism, _kernel_enabled(self._methods[name]))
+        key = (name, executor, parallelism)
         with self._exec_lock:
             if key not in self._batch_executors:
                 if executor == "process":
@@ -1051,7 +1008,6 @@ class Database:
         method: str | None = None,
         parallelism: int | None = None,
         executor: str | None = None,
-        filter_kernel: bool | None = None,
     ) -> RunResult:
         """Answer a batch of specs (submission order preserved).
 
@@ -1064,10 +1020,8 @@ class Database:
         planner prices every range spec and routes it to the cheapest
         structure.
 
-        ``parallelism``/``executor``/``filter_kernel`` override the
-        config for this batch only (answers never change — these are
-        pure cost knobs); the kernel toggle is sticky on the structures
-        until the next override.
+        ``parallelism``/``executor`` override the config for this batch
+        only (answers never change — these are pure cost knobs).
         """
         specs = list(specs)
         for spec in specs:
@@ -1087,10 +1041,6 @@ class Database:
             raise ValueError(
                 "per-batch parallelism/executor overrides need batched=True"
             )
-
-        if filter_kernel is not None:
-            for m in self._methods.values():
-                _set_kernel(m, filter_kernel)
 
         decisions = [self._choose(spec, method) for spec in specs]
         choices = [choice for choice, _ in decisions]
@@ -1272,7 +1222,6 @@ class Database:
             shards=shards,
             shard_probes=probes,
             shards_pruned=pruned,
-            filter_kernel=_kernel_enabled(chosen),
             batched=self.config.batched,
             parallelism=self.config.parallelism,
             data_records_per_page=self.planner.data_records_per_page,
@@ -1572,7 +1521,6 @@ class Database:
         tree = load_utree(
             path,
             estimator=config.estimator(),
-            filter_kernel=config.filter_kernel,
             pool=pool,
         )
         db = cls({"utree": tree}, config)

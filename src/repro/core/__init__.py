@@ -3,11 +3,7 @@
 from repro.core.catalog import UCatalog
 from repro.core.costmodel import CostEstimate, UTreeCostModel
 from repro.core.cfb import LinearBoxFunction, fit_cfbs, fit_inner_cfb, fit_outer_cfb
-from repro.core.filterkernel import (
-    CFBFilterKernel,
-    PCRFilterKernel,
-    resolve_filter_kernel,
-)
+from repro.core.filterkernel import CFBFilterKernel, PCRFilterKernel
 from repro.core.nn import (
     NNCandidate,
     NNResult,
@@ -53,6 +49,5 @@ __all__ = [
     "fit_outer_cfb",
     "probabilistic_nearest_neighbors",
     "refine_candidates",
-    "resolve_filter_kernel",
     "subtree_may_qualify",
 ]

@@ -1,10 +1,7 @@
 """Vectorized filter-phase kernel over columnar pruning geometry.
 
 The filter phase classifies every surviving leaf object with the paper's
-Rules 1-5 (:mod:`repro.core.pruning`).  The scalar engines do that one
-``Verdict`` at a time, constructing tiny :class:`~repro.geometry.rect.Rect`
-objects and looping per axis — the last scalar stage of the pipeline now
-that refinement is batched.  This module is the batched replacement:
+Rules 1-5.  This module is the one classifier every structure runs:
 
 * every object's pruning geometry — MBR, CFB face coefficients or raw PCR
   planes — lives in contiguous ``(n_objects, dim)`` float64 *columns* (a
@@ -17,17 +14,17 @@ The catalog indices the rules consult (``j`` per rule) depend only on the
 query threshold, never on the object, so they are resolved once per batch
 and the per-object work collapses into gathers and comparisons.
 
-**Bit-identity.**  Every arithmetic step mirrors the scalar engines
-exactly: CFB faces are ``intercept + slope * p`` (one multiply, one add,
-in float64 — the same IEEE operations the scalar path performs), box
-collapses use the same midpoint formula, crossed inner faces map to the
-same ``(-inf, +inf)`` empty bands, and every comparison is an exact
-boolean predicate.  ``tests/test_filter_kernel.py`` asserts verdict
-equality with ``==`` (never ``approx``) against :class:`PCRRules` and
-:class:`CFBRules` across every pdf family; structures therefore expose the
-kernel behind a ``filter_kernel=`` knob whose ``"off"`` setting keeps the
-paper-exact scalar path with identical answers *and* identical node-access
-accounting (the kernel never changes traversal, only leaf classification).
+**Reference implementation.**  The per-object rule engines in
+:mod:`repro.core.pruning` (:class:`PCRRules`, :class:`CFBRules`) state the
+rules one ``Verdict`` at a time and stay as the oracle the tests compare
+against.  Every arithmetic step here mirrors them exactly: CFB faces are
+``intercept + slope * p`` (one multiply, one add, in float64 — the same
+IEEE operations the rule engines perform), box collapses use the same
+midpoint formula, crossed inner faces map to the same ``(-inf, +inf)``
+empty bands, and every comparison is an exact boolean predicate.  The
+kernel tests assert verdict equality with ``==`` (never ``approx``)
+against both engines across every pdf family, and each structure's
+whole filter pass against a per-record pass built from them.
 
 Rows are allocated from a free list, so delete + re-insert reuses storage
 without invalidating other records' row handles.
@@ -52,42 +49,16 @@ __all__ = [
     "CFBFilterKernel",
     "PCRFilterKernel",
     "classify_records",
-    "resolve_filter_kernel",
 ]
 
 # Verdict codes returned by classify(); index into VERDICT_BY_CODE to
-# recover the enum the scalar engines speak.
+# recover the enum the rule engines speak.
 PRUNED = 0
 VALIDATED = 1
 CANDIDATE = 2
 VERDICT_BY_CODE = (Verdict.PRUNED, Verdict.VALIDATED, Verdict.CANDIDATE)
 
-FILTER_KERNEL_ENV = "REPRO_FILTER_KERNEL"
-
 _MIN_CAPACITY = 64
-
-
-def resolve_filter_kernel(setting: str | bool | None = None) -> bool:
-    """Resolve a ``filter_kernel=`` knob value to on/off.
-
-    ``None`` defers to the ``REPRO_FILTER_KERNEL`` environment variable
-    (the CI matrix leg forces ``off`` there to pin the scalar path) and
-    defaults to on — the kernel is verdict-identical, so there is no
-    correctness reason to opt in.  The environment is read through
-    :mod:`repro.env`, the package's single ``os.environ`` access point.
-    """
-    if setting is None:
-        from repro.env import env_value
-
-        setting = env_value(FILTER_KERNEL_ENV, "on")
-    if isinstance(setting, bool):
-        return setting
-    text = str(setting).strip().lower()
-    if text in ("on", "1", "true", "yes"):
-        return True
-    if text in ("off", "0", "false", "no"):
-        return False
-    raise ValueError(f"filter_kernel must be 'on' or 'off', got {setting!r}")
 
 
 def classify_records(kernel, records, query: Rect, pq: float, result) -> None:
@@ -95,8 +66,7 @@ def classify_records(kernel, records, query: Rect, pq: float, result) -> None:
 
     ``records`` are leaf records in traversal order (each carrying
     ``oid``, ``address`` and its sidecar ``row``); verdicts append into
-    ``result`` in that same order, exactly as the scalar per-record loop
-    does.
+    ``result`` in that same order.
     """
     if not records:
         return
@@ -328,8 +298,8 @@ class _ColumnarKernel:
         """``(mindist, maxdist)`` from ``point`` to every row's MBR.
 
         The batched mirror of the NN walk's ``_mindist``/``_maxdist``:
-        identical elementwise operations, identical norm reduction (axis
-        sums run in the same index order as the scalar d-vector norm).
+        identical elementwise operations; the row norm may round the
+        last bit differently from the scalar d-vector norm.
         """
         idx = np.asarray(rows, dtype=np.intp)
         lo = self.mbr_lo[idx]

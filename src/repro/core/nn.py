@@ -102,7 +102,7 @@ def _walk_candidates(
     candidates: list[tuple[float, float, UTreeLeafRecord]] = []
     heap: list[tuple[float, int, Node]] = [(0.0, 0, tree.engine.root)]
     counter = 1
-    kernel = getattr(tree, "active_kernel", None)
+    kernel = tree.kernel
 
     while heap:
         mindist, __, node = heapq.heappop(heap)
@@ -112,36 +112,24 @@ def _walk_candidates(
         tree.engine.store.touch_read(node.page_id)
         result.node_accesses += 1
         if node.is_leaf:
-            if kernel is not None and node.entries:
-                # Batched leaf distances from the columnar MBR sidecar.
-                # The scalar loop tightens best_worst entry by entry and
-                # admits entry i under the bound as of entry i; the
-                # running minimum reproduces that sequence exactly.
-                records = [entry.data for entry in node.entries]
-                rows = np.fromiter(
-                    (record.row for record in records),
-                    dtype=np.intp,
-                    count=len(records),
-                )
-                d_min, d_max = kernel.point_distances(point, rows)
-                result.objects_examined += len(records)
-                running = np.minimum.accumulate(np.minimum(d_max, best_worst))
-                best_worst = float(running[-1])
-                for i, record in enumerate(records):
-                    if d_min[i] <= running[i]:
-                        candidates.append(
-                            (float(d_min[i]), float(d_max[i]), record)
-                        )
+            if not node.entries:
                 continue
-            for entry in node.entries:
-                record: UTreeLeafRecord = entry.data
-                lo, hi = record.mbr.lo, record.mbr.hi
-                d_min = _mindist(point, lo, hi)
-                d_max = _maxdist(point, lo, hi)
-                result.objects_examined += 1
-                best_worst = min(best_worst, d_max)
-                if d_min <= best_worst:
-                    candidates.append((d_min, d_max, record))
+            # Batched leaf distances from the columnar MBR sidecar.
+            # Entry i is admitted under the best worst-case as tightened
+            # by entries 0..i, which the running minimum reproduces.
+            records = [entry.data for entry in node.entries]
+            rows = np.fromiter(
+                (record.row for record in records),
+                dtype=np.intp,
+                count=len(records),
+            )
+            d_min, d_max = kernel.point_distances(point, rows)
+            result.objects_examined += len(records)
+            running = np.minimum.accumulate(np.minimum(d_max, best_worst))
+            best_worst = float(running[-1])
+            for i, record in enumerate(records):
+                if d_min[i] <= running[i]:
+                    candidates.append((float(d_min[i]), float(d_max[i]), record))
         else:
             for entry in node.entries:
                 lo, hi = entry.profile[0, 0], entry.profile[0, 1]

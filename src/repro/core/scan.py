@@ -16,13 +16,8 @@ from collections.abc import Iterator
 
 from repro.core.catalog import UCatalog
 from repro.core.cfb import fit_cfbs
-from repro.core.filterkernel import (
-    CFBFilterKernel,
-    classify_records,
-    resolve_filter_kernel,
-)
+from repro.core.filterkernel import CFBFilterKernel, classify_records
 from repro.core.pcr import compute_pcrs
-from repro.core.pruning import CFBRules, Verdict
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.utree import UTreeLeafRecord
 from repro.exec.access import FilterResult
@@ -48,7 +43,6 @@ class SequentialScan:
         io: IOCounter | None = None,
         pool: BufferPool | None = None,
         estimator: AppearanceEstimator | None = None,
-        filter_kernel: str | bool | None = None,
     ):
         self.catalog = catalog if catalog is not None else UCatalog.paper_utree_default()
         self.dim = dim
@@ -60,19 +54,7 @@ class SequentialScan:
         self.data_file = DataFile(self.io, page_size, pool=pool)
         self._entry_bytes = utree_layout(dim, page_size).leaf_entry_bytes
         self._records: list[UTreeLeafRecord] = []
-        self.kernel = (
-            CFBFilterKernel(self.catalog, dim)
-            if resolve_filter_kernel(filter_kernel)
-            else None
-        )
-        # Runtime toggle (see UTree.use_kernel): inserts always feed the
-        # sidecar; queries consult it only while use_kernel holds.
-        self.use_kernel = True
-
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
+        self.kernel = CFBFilterKernel(self.catalog, dim)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -101,18 +83,15 @@ class SequentialScan:
             outer=outer,
             inner=inner,
             address=address,
-            rules=CFBRules(self.catalog, outer, inner),
+            row=self.kernel.add(obj.mbr, outer, inner),
         )
-        if self.kernel is not None:
-            record.row = self.kernel.add(obj.mbr, outer, inner)
         self._records.append(record)
 
     def delete(self, oid: int) -> bool:
         """Remove an object summary by id."""
         for i, record in enumerate(self._records):
             if record.oid == oid:
-                if self.kernel is not None:
-                    self.kernel.release(record.row)
+                self.kernel.release(record.row)
                 # Feed the data file's free list (no-op unless reclaim is on).
                 self.data_file.release(record.address)
                 del self._records[i]
@@ -135,22 +114,10 @@ class SequentialScan:
                     self.io, self.pool, self._summary_file_id, page_id,
                     sequential=True,
                 )
-        kernel = self.active_kernel
-        if kernel is not None:
-            # One stacked Rules-1-5 call over the whole summary file —
-            # verdicts and ordering match the scalar loop bit for bit.
-            classify_records(
-                kernel, self._records, query.rect, query.threshold, result
-            )
-            return result
-        for record in self._records:
-            verdict = record.rules.apply(record.mbr, query.rect, query.threshold)
-            if verdict is Verdict.VALIDATED:
-                result.validated.append(record.oid)
-            elif verdict is Verdict.CANDIDATE:
-                result.candidates.append((record.oid, record.address))
-            else:
-                result.pruned += 1
+        # One stacked Rules-1-5 call over the whole summary file.
+        classify_records(
+            self.kernel, self._records, query.rect, query.threshold, result
+        )
         return result
 
     def query(self, query: ProbRangeQuery) -> QueryAnswer:

@@ -23,19 +23,14 @@ import time
 from dataclasses import dataclass
 
 from repro.core.catalog import UCatalog
-from repro.core.filterkernel import (
-    PCRFilterKernel,
-    classify_records,
-    resolve_filter_kernel,
-)
+from repro.core.filterkernel import PCRFilterKernel, classify_records
 from repro.core.pcr import PCRSet, compute_pcrs
-from repro.core.pruning import PCRRules, Verdict, observation4_layer
+from repro.core.pruning import observation4_layer
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.utree import UpdateCost
 from repro.exec.access import FilterResult
 from repro.exec.executor import execute_query
 from repro.index.engine import RStarEngine
-from repro.index.node import Entry
 from repro.storage.bufferpool import BufferPool
 from repro.storage.layout import upcr_layout
 from repro.storage.pager import DataFile, DiskAddress, IOCounter
@@ -50,14 +45,13 @@ class UPCRLeafRecord:
     """Payload of a U-PCR leaf entry.
 
     ``row`` is the record's handle into the owning tree's columnar
-    filter-kernel sidecar (-1 when the kernel is off).
+    filter-kernel sidecar.
     """
 
     oid: int
     pcrs: PCRSet
     address: DiskAddress
-    rules: PCRRules
-    row: int = -1
+    row: int
 
 
 class UPCRTree:
@@ -73,7 +67,6 @@ class UPCRTree:
         pool: BufferPool | None = None,
         estimator: AppearanceEstimator | None = None,
         split_mode: str = "median-layer",
-        filter_kernel: str | bool | None = None,
     ):
         self.catalog = catalog if catalog is not None else UCatalog.paper_upcr_default(dim)
         self.dim = dim
@@ -92,14 +85,7 @@ class UPCRTree:
         )
         self.data_file = DataFile(self.io, page_size, pool=pool)
         self._profiles: dict[int, object] = {}
-        self.kernel = (
-            PCRFilterKernel(self.catalog, dim)
-            if resolve_filter_kernel(filter_kernel)
-            else None
-        )
-        # Runtime toggle (see UTree.use_kernel): inserts always feed the
-        # sidecar; queries consult it only while use_kernel holds.
-        self.use_kernel = True
+        self.kernel = PCRFilterKernel(self.catalog, dim)
 
     @classmethod
     def bulk_load(
@@ -126,20 +112,13 @@ class UPCRTree:
             pcrs = compute_pcrs(obj, tree.catalog)
             address = tree.data_file.append(obj, obj.detail_size_bytes())
             record = UPCRLeafRecord(
-                oid=obj.oid, pcrs=pcrs, address=address, rules=PCRRules(pcrs)
+                oid=obj.oid, pcrs=pcrs, address=address, row=tree.kernel.add(pcrs)
             )
-            if tree.kernel is not None:
-                record.row = tree.kernel.add(pcrs)
             profile = pcrs.profile().copy()
             items.append((profile, record))
             tree._profiles[obj.oid] = profile
         engine_bulk_load(tree.engine, items, fill=fill)
         return tree
-
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
 
     def __len__(self) -> int:
         return len(self.engine)
@@ -168,10 +147,8 @@ class UPCRTree:
 
         address = self.data_file.append(obj, obj.detail_size_bytes())
         record = UPCRLeafRecord(
-            oid=obj.oid, pcrs=pcrs, address=address, rules=PCRRules(pcrs)
+            oid=obj.oid, pcrs=pcrs, address=address, row=self.kernel.add(pcrs)
         )
-        if self.kernel is not None:
-            record.row = self.kernel.add(pcrs)
         self.engine.insert(profile, record)
         self._profiles[obj.oid] = profile
         reads, writes = self.io.delta(snapshot)
@@ -194,9 +171,8 @@ class UPCRTree:
         removed = self.engine.delete(match, profile)
         if not removed:
             return None
-        if self.kernel is not None and matched:
-            self.kernel.release(matched[0].row)
         if matched:
+            self.kernel.release(matched[0].row)
             # Feed the data file's free list (a no-op unless reclaim is on).
             self.data_file.release(matched[0].address)
         del self._profiles[oid]
@@ -213,38 +189,19 @@ class UPCRTree:
         """Filter phase: subtree pruning plus Observation-2 leaf checks.
 
         The descent is :meth:`RStarEngine.traverse_layer` at the
-        Observation-4 layer, in both kernel modes.  With the kernel on,
-        visited leaf records are classified by one stacked Rules-1-5 call
-        over the exact-PCR sidecar; verdicts, ordering and node accesses
-        match the scalar path bit for bit.
+        Observation-4 layer; visited leaf records are classified by one
+        stacked Rules-1-5 call over the exact-PCR sidecar.
         """
         rq = query.rect
         pq = query.threshold
         result = FilterResult()
         j = observation4_layer(self.catalog, pq)
-
-        kernel = self.active_kernel
-        if kernel is not None:
-            records: list[UPCRLeafRecord] = []
-            result.node_accesses = self.engine.traverse_layer(
-                j, rq.lo, rq.hi,
-                lambda entries: records.extend(e.data for e in entries),
-            )
-            classify_records(kernel, records, rq, pq, result)
-            return result
-
-        def on_leaf(entries: list[Entry]) -> None:
-            for entry in entries:
-                record: UPCRLeafRecord = entry.data
-                verdict = record.rules.apply(rq, pq)
-                if verdict is Verdict.VALIDATED:
-                    result.validated.append(record.oid)
-                elif verdict is Verdict.CANDIDATE:
-                    result.candidates.append((record.oid, record.address))
-                else:
-                    result.pruned += 1
-
-        result.node_accesses = self.engine.traverse_layer(j, rq.lo, rq.hi, on_leaf)
+        records: list[UPCRLeafRecord] = []
+        result.node_accesses = self.engine.traverse_layer(
+            j, rq.lo, rq.hi,
+            lambda entries: records.extend(e.data for e in entries),
+        )
+        classify_records(self.kernel, records, rq, pq, result)
         return result
 
     def query(self, query: ProbRangeQuery) -> QueryAnswer:

@@ -26,19 +26,14 @@ from dataclasses import dataclass
 
 from repro.core.catalog import UCatalog
 from repro.core.cfb import LinearBoxFunction, fit_cfbs
-from repro.core.filterkernel import (
-    CFBFilterKernel,
-    classify_records,
-    resolve_filter_kernel,
-)
+from repro.core.filterkernel import CFBFilterKernel, classify_records
 from repro.core.pcr import compute_pcrs
-from repro.core.pruning import CFBRules, Verdict, observation4_layer
+from repro.core.pruning import observation4_layer
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.exec.access import FilterResult
 from repro.exec.executor import execute_query
 from repro.geometry.rect import Rect
 from repro.index.engine import RStarEngine
-from repro.index.node import Entry
 from repro.storage.bufferpool import BufferPool
 from repro.storage.layout import utree_layout
 from repro.storage.pager import DataFile, IOCounter
@@ -53,8 +48,8 @@ class UTreeLeafRecord:
     """Payload of a U-tree leaf entry (what one leaf slot stores on disk).
 
     ``row`` is the record's handle into the owning structure's columnar
-    filter-kernel sidecar (-1 when the kernel is off); it is in-memory
-    bookkeeping, not part of the on-disk entry layout.
+    filter-kernel sidecar; it is in-memory bookkeeping, not part of the
+    on-disk entry layout.
     """
 
     oid: int
@@ -62,8 +57,7 @@ class UTreeLeafRecord:
     outer: LinearBoxFunction
     inner: LinearBoxFunction
     address: DiskAddress
-    rules: CFBRules
-    row: int = -1
+    row: int
 
 
 @dataclass
@@ -93,7 +87,6 @@ class UTree:
         estimator: AppearanceEstimator | None = None,
         split_mode: str = "median-layer",
         intermediate_bounds: str = "linear",
-        filter_kernel: str | bool | None = None,
     ):
         """Build an empty U-tree.
 
@@ -107,12 +100,6 @@ class UTree:
         ``pool`` attaches a shared buffer pool in front of both the node
         store and the data file; omit it (or use capacity 0) for the
         paper's uncached I/O accounting.
-
-        ``filter_kernel`` (``"on"``/``"off"``; default resolves via the
-        ``REPRO_FILTER_KERNEL`` environment variable, then on) selects
-        the vectorized leaf-classification path: verdicts and node
-        accesses are bit-identical either way, ``"off"`` keeps the
-        paper-exact scalar per-record rule evaluation.
         """
         if intermediate_bounds not in ("linear", "exact"):
             raise ValueError(f"unknown intermediate_bounds {intermediate_bounds!r}")
@@ -133,16 +120,7 @@ class UTree:
         )
         self.data_file = DataFile(self.io, page_size, pool=pool)
         self._profiles: dict[int, object] = {}
-        self.kernel = (
-            CFBFilterKernel(self.catalog, dim)
-            if resolve_filter_kernel(filter_kernel)
-            else None
-        )
-        # Runtime toggle (Database.run's filter_kernel override flips it
-        # between batches): the kernel sidecar is always *fed* on insert
-        # so toggling is safe, but queries consult it only while
-        # use_kernel holds.
-        self.use_kernel = True
+        self.kernel = CFBFilterKernel(self.catalog, dim)
 
     # ------------------------------------------------------------------
     # construction
@@ -184,10 +162,8 @@ class UTree:
                 outer=outer,
                 inner=inner,
                 address=address,
-                rules=CFBRules(tree.catalog, outer, inner),
+                row=tree.kernel.add(obj.mbr, outer, inner),
             )
-            if tree.kernel is not None:
-                record.row = tree.kernel.add(obj.mbr, outer, inner)
             profile = outer.profile(tree.catalog)
             items.append((profile, record))
             tree._profiles[obj.oid] = profile
@@ -197,11 +173,6 @@ class UTree:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    @property
-    def active_kernel(self):
-        """The filter kernel queries should use right now (None = scalar)."""
-        return self.kernel if self.use_kernel else None
-
     def __len__(self) -> int:
         return len(self.engine)
 
@@ -237,10 +208,8 @@ class UTree:
             outer=outer,
             inner=inner,
             address=address,
-            rules=CFBRules(self.catalog, outer, inner),
+            row=self.kernel.add(obj.mbr, outer, inner),
         )
-        if self.kernel is not None:
-            record.row = self.kernel.add(obj.mbr, outer, inner)
         self.engine.insert(profile, record)
         self._profiles[obj.oid] = profile
         reads, writes = self.io.delta(snapshot)
@@ -263,9 +232,8 @@ class UTree:
         removed = self.engine.delete(match, profile)
         if not removed:
             return None
-        if self.kernel is not None and matched:
-            self.kernel.release(matched[0].row)
         if matched:
+            self.kernel.release(matched[0].row)
             # Feed the data file's free list (a no-op unless reclaim is on).
             self.data_file.release(matched[0].address)
         del self._profiles[oid]
@@ -282,41 +250,22 @@ class UTree:
         """Filter phase: prune with Observation 4, classify leaves with
         Observation 3, leave survivors for the executor's refinement.
 
-        The descent is the same in both kernel modes: Observation 4's
-        layer is resolved once per query and each visited inner node
-        decides all its children at once (:meth:`RStarEngine.traverse_layer`).
-        With the kernel on, visited leaf records are collected in
-        traversal order and classified by one stacked Rules-1-5 call
-        instead of one scalar rule pass per record; verdicts, ordering
-        and node accesses are bit-identical.
+        Observation 4's layer is resolved once per query and each visited
+        inner node decides all its children at once
+        (:meth:`RStarEngine.traverse_layer`).  Visited leaf records are
+        collected in traversal order and classified by one stacked
+        Rules-1-5 call (:func:`classify_records`).
         """
         rq = query.rect
         pq = query.threshold
         result = FilterResult()
         j = observation4_layer(self.catalog, pq)
-
-        kernel = self.active_kernel
-        if kernel is not None:
-            records: list[UTreeLeafRecord] = []
-            result.node_accesses = self.engine.traverse_layer(
-                j, rq.lo, rq.hi,
-                lambda entries: records.extend(e.data for e in entries),
-            )
-            classify_records(kernel, records, rq, pq, result)
-            return result
-
-        def on_leaf(entries: list[Entry]) -> None:
-            for entry in entries:
-                record: UTreeLeafRecord = entry.data
-                verdict = record.rules.apply(record.mbr, rq, pq)
-                if verdict is Verdict.VALIDATED:
-                    result.validated.append(record.oid)
-                elif verdict is Verdict.CANDIDATE:
-                    result.candidates.append((record.oid, record.address))
-                else:
-                    result.pruned += 1
-
-        result.node_accesses = self.engine.traverse_layer(j, rq.lo, rq.hi, on_leaf)
+        records: list[UTreeLeafRecord] = []
+        result.node_accesses = self.engine.traverse_layer(
+            j, rq.lo, rq.hi,
+            lambda entries: records.extend(e.data for e in entries),
+        )
+        classify_records(self.kernel, records, rq, pq, result)
         return result
 
     def query(self, query: ProbRangeQuery) -> QueryAnswer:

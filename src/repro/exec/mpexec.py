@@ -425,9 +425,7 @@ class ProcessBatchExecutor(BatchExecutor):
         method = self.method
         structures = list(getattr(method, "shards", None) or [method])
         for structure in structures:
-            kernel = getattr(structure, "kernel", None)
-            if kernel is not None and hasattr(kernel, "rebind_columns"):
-                kernel.rebind_columns(arena.share_array)
+            structure.kernel.rebind_columns(arena.share_array)
         if self.share_samples:
             cache = self.engine.cache
             data_file = method.data_file

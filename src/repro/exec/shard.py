@@ -420,11 +420,10 @@ class ShardedAccessMethod:
         packing — and every candidate's disk address — is identical to a
         monolithic structure built over the same sequence.
 
-        Remaining ``method_kwargs`` reach every child constructor; in
-        particular ``filter_kernel="on"/"off"`` selects the vectorized
-        filter kernel per shard — each child owns its own columnar
-        sidecar, so a routed probe costs exactly one stacked Rules-1-5
-        kernel call per ``(query, shard)`` batch, serial or batched.
+        Remaining ``method_kwargs`` reach every child constructor.  Each
+        child owns its own columnar filter-kernel sidecar, so a routed
+        probe costs exactly one stacked Rules-1-5 kernel call per
+        ``(query, shard)`` batch, serial or batched.
         """
         objects = list(objects)
         if shards < 1:

@@ -180,8 +180,6 @@ def build_database(
         structure_kwargs = {}
         if config.page_size != 4096:
             structure_kwargs["page_size"] = config.page_size
-        if config.filter_kernel is not None:
-            structure_kwargs["filter_kernel"] = config.filter_kernel
         builders = {"utree": build_utree, "upcr": build_upcr, "scan": build_scan}
         built = {}
         for method in methods:

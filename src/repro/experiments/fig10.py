@@ -14,7 +14,6 @@ from repro.datasets.workload import make_workload
 from repro.experiments.config import Scale, active_scale
 from repro.experiments.data import DATASETS, build_database, dataset_points
 from repro.experiments.harness import (
-    config_from_knobs,
     format_table,
     run_spec_workload,
     total_cost_seconds,
@@ -32,7 +31,6 @@ def run(
     pq_values: tuple[float, ...] = PQ_VALUES,
     qs: float = DEFAULT_QS,
     config=None,
-    **legacy_knobs,
 ) -> dict:
     """Sweep pq per dataset; returns the three panel series for each.
 
@@ -51,11 +49,8 @@ def run(
     percentages); note that measured wall-clock is engine-accelerated in
     every mode — the shared sample cache persists across the sweep, so
     the first threshold pays the cloud draws and later ones reuse them.
-
-    The pre-facade keyword knobs still work as deprecation shims.
     """
     scale = scale if scale is not None else active_scale()
-    config = config_from_knobs(config, **legacy_knobs)
     out: dict = {}
     for name in datasets:
         points = dataset_points(name, scale)
@@ -69,7 +64,6 @@ def run(
         series: dict = {
             "pq": list(pq_values),
             "config": db.config.summary(),
-            "filter_kernel": "on" if db.config.kernel_enabled else "off",
         }
         for label in ("utree", "upcr"):
             ios, probs, validated, totals = [], [], [], []

@@ -18,7 +18,7 @@ import numpy as np
 from repro.exec.executor import measure_delete_drain, measure_insert_build
 from repro.experiments.config import Scale, active_scale
 from repro.experiments.data import DATASETS, dataset_objects
-from repro.experiments.harness import config_from_knobs, format_table
+from repro.experiments.harness import format_table
 
 __all__ = ["run", "main"]
 
@@ -27,25 +27,18 @@ def run(
     scale: Scale | None = None,
     datasets: tuple[str, ...] = DATASETS,
     config=None,
-    **legacy_knobs,
 ) -> dict:
     """Measure per-dataset insertion and deletion cost of the U-tree.
 
     Builds a fresh single-U-tree :class:`repro.api.Database` per dataset
     (no cache — this experiment *is* the build) and measures through the
-    facade's ``insert``/``delete``.  ``ExecConfig(filter_kernel=...)``
-    sweeps the vectorized filter kernel's *update-side* cost: with
-    ``"on"`` every insert also appends the object's CFB columns to the
-    columnar sidecar (and every delete releases its row), so the figure
-    can report how much the kernel's bookkeeping adds to the paper's
-    per-update numbers (I/O is untouched — the sidecar is
-    memory-resident).  The old ``filter_kernel=`` keyword folds in as a
-    deprecation shim.
+    facade's ``insert``/``delete`` under ``config``; the default,
+    ``ExecConfig(batched=False)``, is the paper's per-query accounting.
     """
-    from repro.api import Database
+    from repro.api import Database, ExecConfig
 
     scale = scale if scale is not None else active_scale()
-    config = config_from_knobs(config, **legacy_knobs)
+    config = config if config is not None else ExecConfig(batched=False)
     out: dict = {}
     for name in datasets:
         objects = dataset_objects(name, scale)
@@ -62,7 +55,6 @@ def run(
         delete_io = [cost.io_total for cost in delete_costs]
 
         out[name] = {
-            "filter_kernel": "on" if db.config.kernel_enabled else "off",
             "insert_avg_io": float(np.mean(insert_io)),
             "insert_avg_cpu_seconds": float(np.mean(insert_cpu)),
             "insert_avg_io_seconds": float(np.mean(insert_io)) * scale.io_latency_seconds,

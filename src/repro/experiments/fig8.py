@@ -19,7 +19,6 @@ from repro.datasets.workload import make_workload
 from repro.experiments.config import Scale, active_scale
 from repro.experiments.data import build_database, dataset_points
 from repro.experiments.harness import (
-    config_from_knobs,
     format_table,
     run_spec_workload,
     total_cost_seconds,
@@ -50,13 +49,16 @@ def run(
     tree: str = "upcr",
     m_values: list[int] | None = None,
     config=None,
-    **legacy_knobs,
 ) -> dict:
-    """Average query cost per catalog size; returns the cost series."""
+    """Average query cost per catalog size; returns the cost series.
+
+    ``config`` (an :class:`repro.api.ExecConfig`) wires execution; the
+    default, ``ExecConfig(batched=False)``, is the paper's query-at-a-time
+    accounting.
+    """
     scale = scale if scale is not None else active_scale()
     if tree not in ("upcr", "utree"):
         raise ValueError(f"tree must be 'upcr' or 'utree', got {tree!r}")
-    config = config_from_knobs(config, **legacy_knobs)
     m_values = m_values if m_values is not None else catalog_sizes(scale)
     points = dataset_points(dataset, scale)
     thresholds = threshold_values(scale)

@@ -17,7 +17,6 @@ from repro.datasets.workload import make_workload
 from repro.experiments.config import Scale, active_scale
 from repro.experiments.data import DATASETS, build_database, dataset_points
 from repro.experiments.harness import (
-    config_from_knobs,
     format_table,
     run_spec_workload,
     total_cost_seconds,
@@ -35,7 +34,6 @@ def run(
     qs_values: tuple[float, ...] = QS_VALUES,
     pq: float = DEFAULT_PQ,
     config=None,
-    **legacy_knobs,
 ) -> dict:
     """Sweep qs per dataset; returns the three panel series for each.
 
@@ -52,17 +50,9 @@ def run(
       physical reads drop;
     * ``ExecConfig(shards=N, partitioner=...)`` partitions each dataset
       behind the shard router — answers are identical at any shard
-      count; node-access panels then reflect routed probes;
-    * ``ExecConfig(filter_kernel="on"/"off")`` sweeps the vectorized
-      filter kernel against the paper-exact scalar rules — verdicts and
-      counts are identical, only ``total_cost_seconds`` moves.
-
-    The pre-facade ``batched=``/``parallelism=``/``shards=``/
-    ``partitioner=``/``filter_kernel=`` keywords still work as
-    deprecation shims folding into ``config``.
+      count; node-access panels then reflect routed probes.
     """
     scale = scale if scale is not None else active_scale()
-    config = config_from_knobs(config, **legacy_knobs)
     out: dict = {}
     for name in datasets:
         points = dataset_points(name, scale)
@@ -74,7 +64,6 @@ def run(
         series: dict = {
             "qs": list(qs_values),
             "config": db.config.summary(),
-            "filter_kernel": "on" if db.config.kernel_enabled else "off",
         }
         for label in ("utree", "upcr"):
             ios, probs, validated, totals = [], [], [], []

@@ -6,15 +6,13 @@ the directly-validated percentage (CPU), and total elapsed seconds.  Total
 cost here is ``page_accesses * io_latency + measured CPU seconds`` —
 the simulated-disk equivalent of the paper's wall-clock measurements.
 
-Since the ``repro.api`` facade landed, the figure harnesses execute
-through a :class:`repro.api.Database` (:func:`run_spec_workload`); the
-pre-facade sweep knobs survive as deprecation shims
-(:func:`config_from_knobs`, :func:`run_workload_batched`).
+The figure harnesses execute through a :class:`repro.api.Database`
+(:func:`run_spec_workload`) under the caller's
+:class:`repro.api.ExecConfig`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 
 from repro.core.query import ProbRangeQuery
@@ -24,23 +22,11 @@ from repro.experiments.config import Scale
 
 __all__ = [
     "as_specs",
-    "config_from_knobs",
     "format_table",
     "run_spec_workload",
     "run_workload",
-    "run_workload_batched",
     "total_cost_seconds",
 ]
-
-# The old per-figure sweep knobs and the ExecConfig field each maps to.
-_LEGACY_KNOBS = {
-    "batched": "batched",
-    "parallelism": "parallelism",
-    "shards": "shards",
-    "partitioner": "partitioner",
-    "filter_kernel": "filter_kernel",
-}
-
 
 def as_specs(queries: Sequence[ProbRangeQuery]):
     """Engine-level queries as the facade's declarative range specs."""
@@ -57,39 +43,6 @@ def run_spec_workload(db, queries: Sequence[ProbRangeQuery], *, method: str | No
     the database's access methods, as the figure sweeps need.
     """
     return db.run(as_specs(queries), method=method).workload
-
-
-def config_from_knobs(config=None, *, stacklevel: int = 3, **knobs):
-    """Fold the pre-facade sweep knobs into an :class:`ExecConfig`.
-
-    The figure harnesses' old ``batched=``/``parallelism=``/``shards=``/
-    ``partitioner=``/``filter_kernel=`` parameters are deprecated; this
-    shim warns once per call site and rewrites them onto the config so
-    existing scripts keep working.
-    """
-    from repro.api import ExecConfig
-
-    unknown = [name for name in knobs if name not in _LEGACY_KNOBS]
-    if unknown:
-        raise TypeError(f"unknown harness knobs: {sorted(unknown)}")
-    passed = {
-        _LEGACY_KNOBS[name]: value for name, value in knobs.items() if value is not None
-    }
-    config = config if config is not None else ExecConfig(batched=False)
-    if passed:
-        warnings.warn(
-            f"the {sorted(passed)} harness knobs are deprecated; pass "
-            f"config=ExecConfig({', '.join(sorted(passed))}=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        # The old signatures accepted parallelism in unbatched runs and
-        # silently ignored it ("parallelism (batched mode)"); keep that
-        # contract instead of tripping ExecConfig's validation.
-        if not passed.get("batched", config.batched):
-            passed.pop("parallelism", None)
-        config = config.with_options(**passed)
-    return config
 
 
 def run_workload(
@@ -115,29 +68,6 @@ def run_workload(
     for query in queries:
         stats.add(tree.query(query).stats)
     return stats
-
-
-def run_workload_batched(
-    tree,
-    queries: Sequence[ProbRangeQuery],
-    *,
-    parallelism: int = 1,
-) -> WorkloadStats:
-    """Deprecated: run the workload through the batched executor.
-
-    Superseded by the facade — ``Database.run`` with
-    ``ExecConfig(batched=True, parallelism=N)`` is the same execution
-    path with the config resolved in one place.
-    """
-    warnings.warn(
-        "run_workload_batched is deprecated; use repro.api.Database.run "
-        "with ExecConfig(batched=True, parallelism=N)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.exec.batch import BatchExecutor
-
-    return BatchExecutor(tree, parallelism=parallelism).run(queries).workload
 
 
 def total_cost_seconds(stats: WorkloadStats, scale: Scale) -> float:

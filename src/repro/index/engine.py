@@ -386,13 +386,17 @@ class RStarEngine:
                 if match(entry.data):
                     return nodes, idxs, i
             return None
+        # One stacked containment test decides every child; survivors are
+        # searched in entry order, so the path found is the first one.
         tol = 1e-9
-        for i, entry in enumerate(node.entries):
-            box = entry.profile[0]
-            if np.all(box[0] <= probe[0, 0] + tol) and np.all(probe[0, 1] <= box[1] + tol):
-                found = self._find_leaf(entry.child, match, probe, nodes, idxs + [i])  # type: ignore[arg-type]
-                if found is not None:
-                    return found
+        boxes = np.array([entry.profile[0] for entry in node.entries])
+        inside = (boxes[:, 0] <= probe[0, 0] + tol).all(1) & (
+            probe[0, 1] <= boxes[:, 1] + tol
+        ).all(1)
+        for i in np.flatnonzero(inside).tolist():
+            found = self._find_leaf(node.entries[i].child, match, probe, nodes, idxs + [i])  # type: ignore[arg-type]
+            if found is not None:
+                return found
         return None
 
     def _condense(self, nodes: list[Node], idxs: list[int]) -> None:

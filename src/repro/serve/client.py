@@ -114,7 +114,6 @@ class ServeClient:
         method: str | None,
         parallelism: int | None,
         executor: str | None,
-        filter_kernel: bool | None,
     ) -> dict | None:
         overlay = {
             key: value
@@ -122,7 +121,6 @@ class ServeClient:
                 ("method", method),
                 ("parallelism", parallelism),
                 ("executor", executor),
-                ("filter_kernel", filter_kernel),
             )
             if value is not None
         }
@@ -141,7 +139,6 @@ class ServeClient:
         method: str | None = None,
         parallelism: int | None = None,
         executor: str | None = None,
-        filter_kernel: bool | None = None,
         probs: bool = False,
     ) -> ServedRun:
         """Answer a batch of specs (the server may co-batch other clients).
@@ -151,7 +148,7 @@ class ServeClient:
         same snapshot that produced the answer.
         """
         body: dict = {"specs": [spec_doc(s) for s in specs]}
-        overlay = self._overlay(method, parallelism, executor, filter_kernel)
+        overlay = self._overlay(method, parallelism, executor)
         if overlay:
             body["overlay"] = overlay
         if probs:

@@ -43,7 +43,7 @@ __all__ = ["AdmissionQueue", "PendingRequest", "QueueFull", "ReadWriteLock"]
 # The per-batch overlay keys a client may set; everything else in the
 # server's base ExecConfig is fixed at serve time.  These are exactly
 # Database.run's per-call overrides — pure cost knobs, never answers.
-OVERLAY_KEYS = ("method", "parallelism", "executor", "filter_kernel")
+OVERLAY_KEYS = ("method", "parallelism", "executor")
 
 
 class QueueFull(Exception):
@@ -146,10 +146,6 @@ def validate_overlay(overlay: dict | None) -> dict:
                 f"got {overlay['executor']!r}"
             )
         out["executor"] = overlay["executor"]
-    if "filter_kernel" in overlay:
-        if not isinstance(overlay["filter_kernel"], bool):
-            raise BadRequest("overlay.filter_kernel must be a boolean")
-        out["filter_kernel"] = overlay["filter_kernel"]
     return out
 
 

@@ -350,7 +350,6 @@ class QueryServer:
                 "shards": explanation.shards,
                 "shard_probes": list(explanation.shard_probes),
                 "shards_pruned": explanation.shards_pruned,
-                "filter_kernel": explanation.filter_kernel,
                 "batched": explanation.batched,
                 "parallelism": explanation.parallelism,
                 "executor": explanation.executor,

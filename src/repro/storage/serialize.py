@@ -26,7 +26,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.cfb import LinearBoxFunction
-from repro.core.pruning import CFBRules
 from repro.core.utree import UTree, UTreeLeafRecord
 from repro.geometry.rect import Rect
 from repro.uncertainty.objects import UncertainObject
@@ -261,6 +260,8 @@ def save_utree(tree: UTree, path, *, extra: dict[str, Any] | None = None) -> Non
         descriptors.append(density_descriptor(obj.pdf))
 
     extra = dict(extra) if extra else {}
+    # The last name is a flag that archives from older versions carry;
+    # the loader ignores it, and an extra key must not shadow it.
     reserved = {
         "format_version", "dim", "page_size", "catalog", "oids", "mbrs",
         "outer", "inner", "descriptors", "filter_kernel",
@@ -280,10 +281,6 @@ def save_utree(tree: UTree, path, *, extra: dict[str, Any] | None = None) -> Non
         outer=outer,
         inner=inner,
         descriptors=pack_json(descriptors),
-        # The mbrs/outer/inner stacks above ARE the columnar filter-kernel
-        # sidecar; this flag additionally round-trips whether the saved
-        # tree ran with the kernel enabled.
-        filter_kernel=np.int64(0 if tree.kernel is None else 1),
     )
 
 
@@ -294,23 +291,17 @@ def _object_for(tree: UTree, record: UTreeLeafRecord) -> UncertainObject:
     return obj
 
 
-def load_utree(path, estimator=None, *, filter_kernel=None, pool=None) -> UTree:
+def load_utree(path, estimator=None, *, pool=None) -> UTree:
     """Reconstruct a U-tree saved with :func:`save_utree`.
 
     The fitted CFBs are restored verbatim (no re-fitting); the node
     layout is rebuilt deterministically by STR packing.
 
-    ``filter_kernel`` overrides the loaded tree's kernel mode.  When left
-    ``None`` (and no ``REPRO_FILTER_KERNEL`` environment override is
-    set — resolved through :mod:`repro.env`), the archive's own flag
-    decides — a kernel-enabled tree survives the round-trip as one.  The
-    sidecar itself is rebuilt in bulk from the archive's columnar
-    MBR/CFB stacks (:meth:`CFBFilterKernel.extend`), not object by
-    object.  ``pool`` attaches a buffer pool to the rebuilt tree.
+    The filter-kernel sidecar is rebuilt in bulk from the archive's
+    columnar MBR/CFB stacks (:meth:`CFBFilterKernel.extend`), not object
+    by object.  ``pool`` attaches a buffer pool to the rebuilt tree.
     """
     from repro.core.catalog import UCatalog
-    from repro.core.filterkernel import FILTER_KERNEL_ENV
-    from repro.env import env_value
     from repro.index.bulkload import bulk_load
 
     with np.load(path) as archive:
@@ -329,23 +320,12 @@ def load_utree(path, estimator=None, *, filter_kernel=None, pool=None) -> UTree:
         outer = archive["outer"]
         inner = archive["inner"]
         descriptors = unpack_json(archive["descriptors"])
-        if (
-            filter_kernel is None
-            and env_value(FILTER_KERNEL_ENV) is None
-            and "filter_kernel" in archive
-        ):
-            filter_kernel = bool(int(archive["filter_kernel"]))
 
     kwargs = {} if estimator is None else {"estimator": estimator}
-    tree = UTree(
-        dim, catalog, page_size=page_size, filter_kernel=filter_kernel,
-        pool=pool, **kwargs
+    tree = UTree(dim, catalog, page_size=page_size, pool=pool, **kwargs)
+    rows = tree.kernel.extend(
+        mbrs[:, 0], mbrs[:, 1], outer[:, 0], outer[:, 1], inner[:, 0], inner[:, 1]
     )
-    rows = None
-    if tree.kernel is not None:
-        rows = tree.kernel.extend(
-            mbrs[:, 0], mbrs[:, 1], outer[:, 0], outer[:, 1], inner[:, 0], inner[:, 1]
-        )
     items = []
     for i, oid in enumerate(oids):
         pdf = density_from_descriptor(descriptors[i])
@@ -359,8 +339,7 @@ def load_utree(path, estimator=None, *, filter_kernel=None, pool=None) -> UTree:
             outer=outer_fn,
             inner=inner_fn,
             address=address,
-            rules=CFBRules(catalog, outer_fn, inner_fn),
-            row=-1 if rows is None else int(rows[i]),
+            row=int(rows[i]),
         )
         profile = outer_fn.profile(catalog)
         items.append((profile, record))

@@ -327,29 +327,17 @@ class TestDatabaseAdaptive:
             )
 
     def test_per_batch_overrides_keep_answers(self):
-        config = ExecConfig(shards=2, mc_samples=600, filter_kernel="on")
+        config = ExecConfig(shards=2, mc_samples=600)
         db = Database.create(make_mixed_objects(24, seed=5), config)
         specs = _specs()
         baseline = [sorted(r.object_ids) for r in db.run(specs)]
         for overrides in (
             {"parallelism": 3},
             {"executor": "process", "parallelism": 2},
-            {"filter_kernel": False},
-            {"filter_kernel": True},
         ):
             got = [sorted(r.object_ids) for r in db.run(specs, **overrides)]
             assert got == baseline, f"answers drifted under {overrides}"
         db.close()
-
-    def test_kernel_override_is_sticky_and_visible(self):
-        config = ExecConfig(mc_samples=400, filter_kernel="on")
-        db = Database.create(make_mixed_objects(12, seed=5), config)
-        spec = _specs()[0]
-        assert db.explain(spec).filter_kernel
-        db.run([spec], filter_kernel=False)
-        assert not db.explain(spec).filter_kernel
-        db.run([spec], filter_kernel=True)
-        assert db.explain(spec).filter_kernel
 
     def test_override_validation(self):
         db = Database.create(
@@ -392,7 +380,7 @@ class TestDatabaseAdaptive:
         assert "bound-skipped" in explanation.summary()
 
     def test_learned_state_round_trips_through_save_open(self, tmp_path):
-        config = ExecConfig(shards=2, mc_samples=500, filter_kernel="on")
+        config = ExecConfig(shards=2, mc_samples=500)
         db = Database.create(
             make_mixed_objects(20, seed=5),
             config,

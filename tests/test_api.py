@@ -3,8 +3,8 @@
 The heart of this module is the equivalence matrix: ``Database.run``
 must be *bit-identical* to the hand-wired legacy paths
 (``QueryExecutor`` / ``BatchExecutor``) across
-{utree, upcr, scan} x {kernel on/off} x {shards 1/4} x
-{parallelism 1/4}, and ``ExecConfig.paper_exact()`` must reproduce the
+{utree, upcr, scan} x {shards 1/4} x {parallelism 1/4} x
+{spread/hot workload}, and ``ExecConfig.paper_exact()`` must reproduce the
 seed's per-query node-access / data-page / P_app accounting exactly.
 The facade adds no third execution path — these tests keep it that way.
 """
@@ -36,9 +36,9 @@ from tests.conftest import make_mixed_objects
 N_SAMPLES = 1200
 SEED = 11
 METHODS = ("utree", "upcr", "scan")
-KERNELS = ("on", "off")
 SHARD_COUNTS = (1, 4)
 PARALLELISMS = (1, 4)
+WORKLOADS = ("spread", "hot")
 
 
 def _objects():
@@ -56,20 +56,31 @@ def _specs():
     return specs
 
 
+def _workload(kind: str) -> list[RangeSpec]:
+    """``spread``: distinct rectangles.  ``hot``: the same rectangles
+    repeated, at equal and at different thresholds, so a batch reuses
+    pages, P_app memo entries and sample clouds across its queries."""
+    specs = _specs()
+    if kind == "spread":
+        return specs
+    a, b, c, whole = specs
+    return [a, b, a, RangeSpec(a.rect, 0.6), whole, b, RangeSpec(c.rect, 0.25), a]
+
+
 def _estimator():
     return AppearanceEstimator(n_samples=N_SAMPLES, seed=SEED)
 
 
-def _legacy_structure(method: str, kernel: str, shards: int):
+def _legacy_structure(method: str, shards: int):
     """The hand-wired build the facade must reproduce bit for bit."""
     objects = _objects()
     if shards > 1:
         return ShardedAccessMethod.build(
             objects, shards=shards, partitioner="str", method=method,
-            estimator=_estimator(), filter_kernel=kernel,
+            estimator=_estimator(),
         )
     cls = {"utree": UTree, "upcr": UPCRTree, "scan": SequentialScan}[method]
-    structure = cls(2, estimator=_estimator(), filter_kernel=kernel)
+    structure = cls(2, estimator=_estimator())
     for obj in objects:
         structure.insert(obj)
     return structure
@@ -77,11 +88,11 @@ def _legacy_structure(method: str, kernel: str, shards: int):
 
 @pytest.fixture(scope="module")
 def structures():
-    """One legacy build per (method, kernel, shards), shared by the matrix."""
+    """One legacy build per (method, shards), shared by the matrix."""
     cache: dict = {}
 
-    def get(method: str, kernel: str, shards: int):
-        key = (method, kernel, shards)
+    def get(method: str, shards: int):
+        key = (method, shards)
         if key not in cache:
             cache[key] = _legacy_structure(*key)
         return cache[key]
@@ -105,7 +116,6 @@ class TestExecConfig:
             {"pool_capacity": -1},
             {"page_size": 64},
             {"mc_samples": 0},
-            {"filter_kernel": "sometimes"},
         ],
     )
     def test_validation(self, kwargs):
@@ -118,8 +128,6 @@ class TestExecConfig:
 
     def test_paper_exact_pins_paper_accounting_knobs(self):
         config = ExecConfig.paper_exact()
-        assert config.filter_kernel == "off"
-        assert not config.kernel_enabled
         assert config.shards == 1
         assert config.pool_capacity == 0
         assert not config.batched
@@ -131,7 +139,7 @@ class TestExecConfig:
         assert (config.shards, config.parallelism) == (4, 2)
 
     def test_json_round_trip(self):
-        config = ExecConfig(shards=4, partitioner="hash", filter_kernel="off")
+        config = ExecConfig(shards=4, partitioner="hash", batched=False)
         assert ExecConfig.from_json(config.to_json()) == config
 
     def test_summary_lists_only_non_defaults(self):
@@ -139,7 +147,6 @@ class TestExecConfig:
         assert "shards=4" in ExecConfig(shards=4).summary()
 
     def test_from_env_reads_each_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FILTER_KERNEL", "off")
         monkeypatch.setenv("REPRO_SHARD_PARALLELISM", "3")
         # Recognised (the experiments read it through active_scale), so
         # no warning — but it selects no ExecConfig field.
@@ -147,9 +154,7 @@ class TestExecConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = ExecConfig.from_env()
-        assert config.filter_kernel == "off" and not config.kernel_enabled
-        assert config.parallelism == 3
-        assert config == ExecConfig(filter_kernel="off", parallelism=3)
+        assert config == ExecConfig(parallelism=3)
 
     def test_from_env_overrides_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_PARALLELISM", "3")
@@ -159,6 +164,37 @@ class TestExecConfig:
         monkeypatch.setenv("REPRO_FITLER_KERNEL", "off")  # the classic typo
         with pytest.warns(UserWarning, match="REPRO_FITLER_KERNEL"):
             ExecConfig.from_env()
+
+    def test_from_env_warns_on_retired_filter_kernel_key(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FILTER_KERNEL", "off")
+        with pytest.warns(UserWarning, match="REPRO_FILTER_KERNEL"):
+            config = ExecConfig.from_env()
+        assert config == ExecConfig()
+
+
+class TestRetiredFilterKernelKnob:
+    """The filter kernel is the only classifier: every way the scalar
+    path used to be selected is gone and fails loudly, never silently."""
+
+    def test_exec_config_has_no_filter_kernel_field(self):
+        assert "filter_kernel" not in {f.name for f in dataclasses.fields(ExecConfig)}
+        with pytest.raises(TypeError, match="filter_kernel"):
+            ExecConfig(filter_kernel="off")
+
+    def test_database_run_rejects_filter_kernel_override(self):
+        db = Database.create(_objects()[:10], ExecConfig(mc_samples=400, seed=SEED))
+        with pytest.raises(TypeError, match="filter_kernel"):
+            db.run(_specs()[:1], filter_kernel=False)
+        assert db.run(_specs()[:1])[0].object_ids == db.query(_specs()[0]).object_ids
+
+    @pytest.mark.parametrize("cls", [UTree, UPCRTree, SequentialScan])
+    def test_structures_always_build_the_kernel(self, cls):
+        with pytest.raises(TypeError, match="filter_kernel"):
+            cls(2, filter_kernel="off")
+        structure = cls(2, estimator=_estimator())
+        for obj in _objects()[:5]:
+            structure.insert(obj)
+        assert len(structure.kernel) == 5
 
 
 class TestEnvModule:
@@ -181,12 +217,6 @@ class TestEnvModule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert warn_unknown_keys({"REPRO_FULL_SCALE": "1", "PATH": "x"}) == []
-
-    def test_filter_kernel_env_still_routes_through_env_module(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FILTER_KERNEL", "off")
-        assert UTree(2).kernel is None
-        monkeypatch.setenv("REPRO_FILTER_KERNEL", "on")
-        assert UTree(2).kernel is not None
 
 
 class TestSpecs:
@@ -222,14 +252,15 @@ class TestEquivalenceMatrix:
     """``db.run`` == legacy executors across the full knob matrix."""
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("parallelism", PARALLELISMS)
     def test_batched_facade_matches_legacy_batch_executor(
-        self, structures, method, kernel, shards, parallelism
+        self, structures, method, workload, shards, parallelism
     ):
-        structure = structures(method, kernel, shards)
-        queries = [spec.to_query() for spec in _specs()]
+        structure = structures(method, shards)
+        specs = _workload(workload)
+        queries = [spec.to_query() for spec in specs]
         legacy = BatchExecutor(
             structure, parallelism=parallelism
         ).run(queries)
@@ -237,11 +268,11 @@ class TestEquivalenceMatrix:
         db = Database.from_methods(
             {method: structure},
             ExecConfig(
-                filter_kernel=kernel, shards=shards, parallelism=parallelism,
+                shards=shards, parallelism=parallelism,
                 mc_samples=N_SAMPLES, seed=SEED,
             ),
         )
-        result = db.run(_specs())
+        result = db.run(specs)
 
         assert [r.object_ids for r in result] == [
             a.object_ids for a in legacy.answers
@@ -252,25 +283,27 @@ class TestEquivalenceMatrix:
         assert [r.method for r in result] == [method] * len(queries)
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_unbatched_facade_matches_legacy_query_executor(
-        self, structures, method, kernel, shards
+        self, structures, method, workload, shards
     ):
-        structure = structures(method, kernel, shards)
+        structure = structures(method, shards)
+        specs = _workload(workload)
         executor = QueryExecutor(structure)
-        legacy = [executor.execute(spec.to_query()) for spec in _specs()]
+        legacy = [executor.execute(spec.to_query()) for spec in specs]
 
         db = Database.from_methods(
             {method: structure},
             ExecConfig(
-                filter_kernel=kernel, shards=shards, batched=False,
+                shards=shards, batched=False,
                 memoize=False, dedupe_pages=False,
                 mc_samples=N_SAMPLES, seed=SEED,
             ),
         )
-        result = db.run(_specs())
+        result = db.run(specs)
 
+        assert len(result) == len(legacy)
         for facade_result, answer in zip(result, legacy):
             assert facade_result.object_ids == answer.object_ids
             assert facade_result.stats.node_accesses == answer.stats.node_accesses
@@ -304,7 +337,7 @@ class TestPaperExactAccounting:
                 mc_samples=N_SAMPLES, seed=SEED
             ),
         )
-        seed_tree = UTree(2, estimator=_estimator(), filter_kernel="off")
+        seed_tree = UTree(2, estimator=_estimator())
         for obj in objects:
             seed_tree.insert(obj)
 
@@ -322,22 +355,13 @@ class TestPaperExactAccounting:
             assert fs.physical_reads == fs.node_accesses + fs.data_page_reads
             assert fs.cache_hits == 0
 
-    def test_paper_exact_uses_scalar_filter_path(self):
-        db = Database.create(
-            _objects()[:10],
-            ExecConfig.paper_exact().with_options(mc_samples=400, seed=SEED),
-        )
-        assert db.access_method("utree").kernel is None
-
 
 class TestPlannerAndExplain:
     @pytest.fixture(scope="class")
     def db(self):
-        # Kernel pinned on: the CI matrix's REPRO_FILTER_KERNEL=off leg
-        # must not flip what this class asserts about explain().
         return Database.create(
             _objects(),
-            ExecConfig(mc_samples=N_SAMPLES, seed=SEED, filter_kernel="on"),
+            ExecConfig(mc_samples=N_SAMPLES, seed=SEED),
             methods=("utree", "scan"),
         )
 
@@ -346,7 +370,6 @@ class TestPlannerAndExplain:
         assert set(explanation.estimates) == {"utree", "scan"}
         assert explanation.choice in ("utree", "scan")
         assert explanation.shards == 1 and explanation.shard_probes == ()
-        assert explanation.filter_kernel is True
         assert "estimated I/O" in explanation.summary()
 
     def test_explain_does_not_execute(self, db):
@@ -375,7 +398,7 @@ class TestPlannerAndExplain:
         """Cost models are lazy: create([]) then insert still gets priced."""
         db = Database.create(
             [],
-            ExecConfig(mc_samples=400, seed=SEED, filter_kernel="on"),
+            ExecConfig(mc_samples=400, seed=SEED),
             methods=("utree", "scan"),
             dim=2,
         )
@@ -626,7 +649,7 @@ def _vm_rss_mb() -> float:
 
 class TestSaveOpen:
     def test_monolithic_round_trip_preserves_answers_and_config(self, tmp_path):
-        config = ExecConfig(mc_samples=N_SAMPLES, seed=SEED, filter_kernel="on")
+        config = ExecConfig(mc_samples=N_SAMPLES, seed=SEED)
         db = Database.create(_objects(), config)
         path = tmp_path / "db.npz"
         db.save(path)
@@ -661,9 +684,9 @@ class TestSaveOpen:
         path = tmp_path / "db.npz"
         db.save(path)
         reopened = Database.open(
-            path, ExecConfig(mc_samples=N_SAMPLES, seed=SEED, filter_kernel="off")
+            path, ExecConfig(mc_samples=N_SAMPLES, seed=SEED, batched=False)
         )
-        assert reopened.access_method("utree").kernel is None
+        assert not reopened.config.batched
         assert (
             reopened.query(_specs()[0]).sorted_ids()
             == db.query(_specs()[0]).sorted_ids()
@@ -725,8 +748,10 @@ class TestSaveOpen:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_archive_with_retired_knobs_opens(self, tmp_path, shards):
         """Archives written while ExecConfig still carried auto_tune,
-        pool_policy, pool_probation, full_scale and batch_window_ms (and
-        the meta a "tuner" state) open with the same ids and P_app."""
+        pool_policy, pool_probation, full_scale, batch_window_ms and
+        filter_kernel (and the meta a "tuner" state; a fitted U-tree
+        archive the per-archive kernel flag) open with the same ids and
+        P_app."""
         import json
 
         from repro.api import database as database_module
@@ -744,6 +769,7 @@ class TestSaveOpen:
             pool_probation=3,
             full_scale=True,
             batch_window_ms=2.0,
+            filter_kernel="off",
         )
         assert not set(retired) & {f.name for f in dataclasses.fields(ExecConfig)}
         meta["config"].update(retired)
@@ -753,6 +779,9 @@ class TestSaveOpen:
             "stats": {},
         }
         entries[database_module._META_KEY] = np.asarray(json.dumps(meta))
+        if shards == 1:
+            assert meta["format"] == database_module._FORMAT_UTREE
+            entries["filter_kernel"] = np.int64(0)
         np.savez(path, **entries)
 
         reopened = Database.open(path)
@@ -768,6 +797,9 @@ class TestSaveOpen:
         tree = UTree(2, estimator=_estimator())
         with pytest.raises(ValueError, match="clash"):
             save_utree(tree, tmp_path / "x.npz", extra={"oids": "nope"})
+        # Archives from older versions carry this flag; keep it reserved.
+        with pytest.raises(ValueError, match="clash"):
+            save_utree(tree, tmp_path / "x.npz", extra={"filter_kernel": 1})
 
 
 class TestStatsErgonomics:
@@ -900,74 +932,3 @@ class TestReproducibleSweeps:
         )
         assert range_only is not None and mixed is not None
         assert calibrated > 0
-
-
-class TestDeprecationShims:
-    def test_unknown_harness_knob_raises_type_error(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.raises(TypeError, match="unknown harness knobs"):
-            config_from_knobs(None, shard=4)  # typo for shards=
-
-    def test_run_workload_batched_warns_and_still_works(self):
-        from repro.experiments.harness import run_workload_batched
-
-        structure = _legacy_structure("utree", "on", 1)
-        queries = [spec.to_query() for spec in _specs()[:2]]
-        with pytest.warns(DeprecationWarning, match="Database.run"):
-            stats = run_workload_batched(structure, queries)
-        assert stats.count == 2
-
-    def test_config_from_knobs_folds_and_warns(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = config_from_knobs(
-                None, shards=4, partitioner="hash", filter_kernel="off"
-            )
-        assert config.shards == 4
-        assert config.partitioner == "hash"
-        assert config.filter_kernel == "off"
-        assert not config.batched  # the harness default stays paper-style
-
-    def test_config_from_knobs_drops_parallelism_in_unbatched_runs(self):
-        """The old signatures ignored parallelism outside batched mode."""
-        from repro.experiments.harness import config_from_knobs
-
-        with pytest.warns(DeprecationWarning):
-            config = config_from_knobs(None, parallelism=4)
-        assert not config.batched and config.parallelism == 1
-        with pytest.warns(DeprecationWarning):
-            config = config_from_knobs(None, batched=True, parallelism=4)
-        assert config.batched and config.parallelism == 4
-
-    def test_config_from_knobs_passthrough_is_silent(self):
-        from repro.experiments.harness import config_from_knobs
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            config = config_from_knobs(ExecConfig(shards=2))
-        assert config.shards == 2
-
-    def test_fig_harness_legacy_knobs_fold_into_config(self):
-        from repro.experiments.config import Scale
-        from repro.experiments.data import clear_caches
-        from repro.experiments import fig9
-
-        clear_caches()
-        micro = Scale(
-            name="micro-api",
-            lb_objects=120,
-            ca_objects=120,
-            aircraft_objects=120,
-            queries_per_workload=2,
-            mc_samples=600,
-        )
-        try:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                result = fig9.run(
-                    micro, datasets=("LB",), qs_values=(800.0,), shards=2
-                )
-            assert "shards=2" in result["LB"]["config"]
-        finally:
-            clear_caches()

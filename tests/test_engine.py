@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.catalog import UCatalog
-from repro.core.pruning import Verdict, observation4_layer, subtree_may_qualify
+from repro.core.pruning import (
+    CFBRules,
+    PCRRules,
+    Verdict,
+    observation4_layer,
+    subtree_may_qualify,
+)
 from repro.core.query import ProbRangeQuery
 from repro.core.upcr import UPCRTree
 from repro.core.utree import UTree
@@ -496,20 +502,22 @@ def per_entry_walk(engine: RStarEngine, descend, on_leaf_entry) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def oracle_structure(kind: str, kernel: str, size: str):
-    """A deep (small pages) or one-leaf tree, built once per test session."""
+def oracle_structure(kind: str, size: str, build: str = "insert"):
+    """A deep (small pages) or one-leaf tree, built once per test session,
+    by repeated insertion or by STR bulk loading (U-tree and U-PCR)."""
     objects = make_mixed_objects(3 if size == "one-leaf" else 150, seed=13)
     if kind == "rstar":
         tree = RStarTree(2, page_size=512)
         for obj in objects:
             tree.insert(obj.mbr, obj.oid)
-    elif kind == "utree":
-        tree = UTree(2, ORACLE_CATALOG, page_size=1024, filter_kernel=kernel)
     else:
-        tree = UPCRTree(2, ORACLE_CATALOG, page_size=1024, filter_kernel=kernel)
-    if kind != "rstar":
-        for obj in objects:
-            tree.insert(obj)
+        cls = UTree if kind == "utree" else UPCRTree
+        if build == "bulk":
+            tree = cls.bulk_load(objects, 2, ORACLE_CATALOG, page_size=1024)
+        else:
+            tree = cls(2, ORACLE_CATALOG, page_size=1024)
+            for obj in objects:
+                tree.insert(obj)
         for obj in objects[::7]:
             tree.delete(obj.oid)
     assert (tree.engine.height == 1) == (size == "one-leaf")
@@ -530,9 +538,9 @@ def all_entries(engine: RStarEngine) -> list[Entry]:
 @st.composite
 def oracle_cases(draw):
     kind = draw(st.sampled_from(["utree", "upcr", "rstar"]))
-    kernel = draw(st.sampled_from(["on", "off"]))
     size = draw(st.sampled_from(["deep", "deep", "one-leaf"]))
-    tree = oracle_structure(kind, kernel, size)
+    build = "insert" if kind == "rstar" else draw(st.sampled_from(["insert", "bulk"]))
+    tree = oracle_structure(kind, size, build)
     pq = draw(
         st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.6, 1.0])  # < p_1, p_1, p_m, > p_m
         | st.floats(min_value=1e-6, max_value=1.0)
@@ -563,8 +571,9 @@ def oracle_cases(draw):
 class TestLayerTraversalOracle:
     """``traverse_layer`` visits the same nodes in the same order, hands
     over the same leaf records in the same order and charges the same
-    node accesses as the per-entry walk, for every structure and both
-    kernel modes."""
+    node accesses as the per-entry walk, for every structure, inserted or
+    bulk loaded; the filter pass's verdicts equal the rule engines' on the
+    walk's records."""
 
     @given(oracle_cases())
     @settings(max_examples=300, deadline=None)
@@ -617,9 +626,10 @@ class TestLayerTraversalOracle:
         for entry in want_leaves:
             record = entry.data
             if kind == "utree":
-                verdict = record.rules.apply(record.mbr, rect, pq)
+                rules = CFBRules(tree.catalog, record.outer, record.inner)
+                verdict = rules.apply(record.mbr, rect, pq)
             else:
-                verdict = record.rules.apply(rect, pq)
+                verdict = PCRRules(record.pcrs).apply(rect, pq)
             if verdict is Verdict.VALIDATED:
                 validated.append(record.oid)
             elif verdict is Verdict.CANDIDATE:
@@ -631,13 +641,95 @@ class TestLayerTraversalOracle:
         assert result.pruned == pruned
 
     @pytest.mark.parametrize("kind", ["utree", "upcr"])
-    @pytest.mark.parametrize("kernel", ["on", "off"])
+    @pytest.mark.parametrize("build", ["insert", "bulk"])
     @pytest.mark.parametrize("size", ["deep", "one-leaf"])
     @pytest.mark.parametrize("pq", [0.0, -0.2, 1.0 + 1e-12, 2.0])
-    def test_threshold_outside_unit_interval_raises(self, kind, kernel, size, pq):
-        tree = oracle_structure(kind, kernel, size)
+    def test_threshold_outside_unit_interval_raises(self, kind, build, size, pq):
+        tree = oracle_structure(kind, size, build)
         query = types.SimpleNamespace(rect=Rect([0, 0], [10_000, 10_000]), threshold=pq)
         with pytest.raises(ValueError, match=r"query threshold must be in \(0, 1\]"):
             tree.filter_candidates(query)
         with pytest.raises(ValueError, match=r"query threshold must be in \(0, 1\]"):
             subtree_may_qualify(tree.catalog, lambda k: query.rect, query.rect, pq)
+
+
+# ----------------------------------------------------------------------
+# The delete path's leaf search against the per-entry loop it replaced
+# ----------------------------------------------------------------------
+def per_entry_find_leaf(node, match, probe, nodes, idxs, visits):
+    """The per-entry leaf search: two ``np.all`` containment checks per
+    child, children searched in entry order.  ``visits`` records the
+    page ids in touch order."""
+    nodes = nodes + [node]
+    visits.append(node.page_id)
+    if node.is_leaf:
+        for i, entry in enumerate(node.entries):
+            if match(entry.data):
+                return nodes, idxs, i
+        return None
+    tol = 1e-9
+    for i, entry in enumerate(node.entries):
+        box = entry.profile[0]
+        if np.all(box[0] <= probe[0, 0] + tol) and np.all(probe[0, 1] <= box[1] + tol):
+            found = per_entry_find_leaf(entry.child, match, probe, nodes, idxs + [i], visits)
+            if found is not None:
+                return found
+    return None
+
+
+class TestFindLeafOracle:
+    """``_find_leaf`` finds the same ``(nodes, idxs, i)`` and touches the
+    same pages in the same order as the per-entry search."""
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["present", "duplicate", "missing"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_entry_search(self, seed, case):
+        rng = np.random.default_rng(seed)
+        layers = int(rng.integers(1, 4))
+        engine = RStarEngine(2, layers, tiny_layout(int(rng.integers(3, 7))))
+        n = int(rng.integers(1, 90))
+        profiles = [random_profile(rng, layers) for _ in range(n)]
+        for oid, profile in enumerate(profiles):
+            engine.insert(profile, oid)
+        target = int(rng.integers(0, n))
+        probe = profiles[target]
+        wanted = {target}
+        if case == "duplicate":
+            # A second object with the same profile: either may match,
+            # and both searches must reach the same one first.
+            engine.insert(probe.copy(), n)
+            wanted.add(n)
+        elif case == "missing":
+            wanted = {-1}
+
+        def match(data):
+            return data in wanted
+
+        want_visits: list[int] = []
+        want = per_entry_find_leaf(engine.root, match, probe, [], [], want_visits)
+
+        visits: list[int] = []
+        touch = engine.store.touch_read
+
+        def recording_touch(page_id):
+            visits.append(page_id)
+            touch(page_id)
+
+        engine.store.touch_read = recording_touch
+        try:
+            reads = engine.io.reads
+            got = engine._find_leaf(engine.root, match, probe, [], [])
+            assert engine.io.reads - reads == len(visits)
+        finally:
+            del engine.store.touch_read
+        assert visits == want_visits
+        if case == "missing":
+            assert got is None and want is None
+            return
+        assert got is not None and want is not None
+        assert [id(node) for node in got[0]] == [id(node) for node in want[0]]
+        assert got[1] == want[1]
+        assert got[2] == want[2]

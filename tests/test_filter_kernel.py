@@ -1,34 +1,33 @@
 """Tests for the vectorized filter-phase kernel.
 
 The load-bearing contract: every verdict the columnar kernel produces is
-**bit-identical** (``==``, never ``approx``) to the scalar rule engines —
-:class:`PCRRules` over exact PCRs and :class:`CFBRules` over CFB
-summaries — across every pdf family, both dimensionalities, both catalog
-sizes, degenerate (point) PCRs, update churn and shard-routed batches.
-``filter_kernel="off"`` must reproduce the scalar path *exactly*,
-including node-access accounting; ``"on"`` must match it anyway.
+**bit-identical** (``==``, never ``approx``) to the per-record rule
+engines — :class:`PCRRules` over exact PCRs and :class:`CFBRules` over
+CFB summaries — across every pdf family, both dimensionalities, both
+catalog sizes, degenerate (point) PCRs, update churn and shard-routed
+batches.  The structures classify through the kernel only; the oracle
+here is a per-record pass built from the rule engines over the same
+traversal, and each structure's ``FilterResult`` must equal it exactly.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 import pytest
 
 from repro.core.catalog import UCatalog
 from repro.core.cfb import fit_cfbs
-from repro.core.filterkernel import (
-    CFBFilterKernel,
-    PCRFilterKernel,
-    VERDICT_BY_CODE,
-    resolve_filter_kernel,
-)
-from repro.core.nn import probabilistic_nearest_neighbors
+from repro.core.filterkernel import CFBFilterKernel, PCRFilterKernel, VERDICT_BY_CODE
+from repro.core.nn import NNResult, _maxdist, _mindist, _walk_candidates
 from repro.core.pcr import PCRSet, compute_pcrs
-from repro.core.pruning import CFBRules, PCRRules
+from repro.core.pruning import CFBRules, PCRRules, Verdict, observation4_layer
 from repro.core.query import ProbRangeQuery
 from repro.core.scan import SequentialScan
-from repro.core.upcr import UPCRTree
+from repro.core.upcr import UPCRLeafRecord, UPCRTree
 from repro.core.utree import UTree
+from repro.exec.access import FilterResult
 from repro.exec.shard import ShardedAccessMethod
 from repro.geometry.rect import Rect
 from repro.storage.layout import filter_kernel_row_bytes
@@ -127,6 +126,71 @@ def _assert_filter_equal(a, b):
     assert a.node_accesses == b.node_accesses
 
 
+def _oracle_filter(structure, query: ProbRangeQuery) -> FilterResult:
+    """The filter phase with one rule-engine verdict per leaf record.
+
+    Walks the same traversal the structure runs (the Observation-4
+    descent for the trees, the whole summary file for the scan, the
+    router's probe order and merge for sharded methods) but classifies
+    each record with a fresh :class:`CFBRules` / :class:`PCRRules`.
+    """
+    if isinstance(structure, ShardedAccessMethod):
+        order = structure.route(query)
+        return structure.merge_filter(
+            order, [_oracle_filter(structure.shards[i], query) for i in order]
+        )
+    rq, pq = query.rect, query.threshold
+    result = FilterResult()
+
+    def classify(record) -> None:
+        if isinstance(record, UPCRLeafRecord):
+            verdict = PCRRules(record.pcrs).apply(rq, pq)
+        else:
+            rules = CFBRules(structure.catalog, record.outer, record.inner)
+            verdict = rules.apply(record.mbr, rq, pq)
+        if verdict is Verdict.VALIDATED:
+            result.validated.append(record.oid)
+        elif verdict is Verdict.CANDIDATE:
+            result.candidates.append((record.oid, record.address))
+        else:
+            result.pruned += 1
+
+    if isinstance(structure, SequentialScan):
+        result.node_accesses = structure.scan_pages
+        for record in structure.records():
+            classify(record)
+        return result
+
+    def on_leaf(entries) -> None:
+        for entry in entries:
+            classify(entry.data)
+
+    j = observation4_layer(structure.catalog, pq)
+    result.node_accesses = structure.engine.traverse_layer(j, rq.lo, rq.hi, on_leaf)
+    return result
+
+
+def _random_queries(seed: int, n: int) -> list[ProbRangeQuery]:
+    rng = np.random.default_rng(seed)
+    return [
+        ProbRangeQuery(
+            Rect.from_center(rng.uniform(1500, 8500, 2), float(rng.uniform(100, 2200))),
+            float(rng.choice(THRESHOLDS)),
+        )
+        for _ in range(n)
+    ]
+
+
+def _assert_matches_oracle(structure, queries) -> None:
+    for query in queries:
+        result = structure.filter_candidates(query)
+        oracle = _oracle_filter(structure, query)
+        _assert_filter_equal(result, oracle)
+        if isinstance(structure, ShardedAccessMethod):
+            assert result.shard_probes == oracle.shard_probes
+            assert result.shards_pruned == oracle.shards_pruned
+
+
 class TestKernelVsScalarRules:
     """Raw kernel verdicts == the scalar rule engines, bit for bit."""
 
@@ -213,187 +277,154 @@ class TestKernelVsScalarRules:
 
 
 class TestStructureEquivalence:
-    """filter_kernel="on" == filter_kernel="off" through every structure."""
+    """Every structure's filter pass == the per-record rule-engine oracle."""
 
     @pytest.fixture(scope="class")
     def objects(self):
         return _family_objects(2, seed=97, n_rounds=3)
 
-    def _pair(self, factory, objects):
-        on = factory("on")
-        off = factory("off")
+    @pytest.mark.parametrize("structure", ["utree", "upcr", "scan"])
+    def test_filter_results_match_oracle(self, structure, objects):
+        cls = {"utree": UTree, "upcr": UPCRTree, "scan": SequentialScan}[structure]
+        index = cls(2, estimator=AppearanceEstimator(n_samples=600, seed=5))
         for obj in objects:
-            on.insert(obj)
-            off.insert(obj)
-        return on, off
+            index.insert(obj)
+        _assert_matches_oracle(index, _random_queries(71, 20))
 
     @pytest.mark.parametrize("structure", ["utree", "upcr", "scan"])
-    def test_filter_results_identical(self, structure, objects):
-        est = lambda: AppearanceEstimator(n_samples=600, seed=5)  # noqa: E731
-        factories = {
-            "utree": lambda mode: UTree(2, estimator=est(), filter_kernel=mode),
-            "upcr": lambda mode: UPCRTree(2, estimator=est(), filter_kernel=mode),
-            "scan": lambda mode: SequentialScan(2, estimator=est(), filter_kernel=mode),
-        }
-        on, off = self._pair(factories[structure], objects)
-        assert on.kernel is not None and off.kernel is None
-        rng = np.random.default_rng(71)
-        for trial in range(20):
-            rect = Rect.from_center(
-                rng.uniform(1500, 8500, 2), float(rng.uniform(100, 2200))
-            )
-            pq = float(rng.choice(THRESHOLDS))
-            query = ProbRangeQuery(rect, pq)
-            _assert_filter_equal(
-                on.filter_candidates(query), off.filter_candidates(query)
-            )
-            # End-to-end answers too (shared refinement is already pinned
-            # elsewhere; this guards the wiring).
-            assert on.query(query).object_ids == off.query(query).object_ids
-
-    def test_update_churn_keeps_equivalence(self, objects):
+    def test_update_churn_matches_oracle(self, structure, objects):
         """Delete + re-insert reuses sidecar rows without stale verdicts."""
-        on = UTree(2, estimator=AppearanceEstimator(n_samples=400, seed=5),
-                   filter_kernel="on")
-        off = UTree(2, estimator=AppearanceEstimator(n_samples=400, seed=5),
-                    filter_kernel="off")
+        cls = {"utree": UTree, "upcr": UPCRTree, "scan": SequentialScan}[structure]
+        index = cls(2, estimator=AppearanceEstimator(n_samples=400, seed=5))
         for obj in objects:
-            on.insert(obj)
-            off.insert(obj)
-        rng = np.random.default_rng(83)
-        dropped = [obj.oid for obj in objects[::3]]
-        for oid in dropped:
-            assert on.delete(oid) is not None
-            assert off.delete(oid) is not None
+            index.insert(obj)
+        for obj in objects[::3]:
+            assert index.delete(obj.oid)
         fresh = _family_objects(2, seed=113, n_rounds=1)
         for obj in fresh:
             obj.oid += 10_000  # new generation, fresh ids
-            on.insert(obj)
-            off.insert(obj)
-        for _ in range(12):
-            query = ProbRangeQuery(
-                Rect.from_center(rng.uniform(1500, 8500, 2), float(rng.uniform(150, 2000))),
-                float(rng.choice(THRESHOLDS)),
-            )
-            _assert_filter_equal(
-                on.filter_candidates(query), off.filter_candidates(query)
-            )
+            index.insert(obj)
+        _assert_matches_oracle(index, _random_queries(83, 12))
 
-    def test_bulk_load_matches_inserts(self, objects):
-        loaded = UTree.bulk_load(
-            objects, estimator=AppearanceEstimator(n_samples=400, seed=5),
-            filter_kernel="on",
+    @pytest.mark.parametrize("cls", [UTree, UPCRTree])
+    def test_bulk_load_matches_oracle(self, cls, objects):
+        loaded = cls.bulk_load(
+            objects, estimator=AppearanceEstimator(n_samples=400, seed=5)
         )
-        scalar = UTree.bulk_load(
-            objects, estimator=AppearanceEstimator(n_samples=400, seed=5),
-            filter_kernel="off",
-        )
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            query = ProbRangeQuery(
-                Rect.from_center(rng.uniform(1500, 8500, 2), float(rng.uniform(150, 2000))),
-                float(rng.choice(THRESHOLDS)),
-            )
-            _assert_filter_equal(
-                loaded.filter_candidates(query), scalar.filter_candidates(query)
-            )
+        _assert_matches_oracle(loaded, _random_queries(19, 10))
 
-    def test_sharded_batches(self, objects):
+    @pytest.mark.parametrize("method", ["utree", "upcr", "scan"])
+    @pytest.mark.parametrize("partitioner", ["str", "hash"])
+    def test_sharded_batches(self, method, partitioner, objects):
         """Shard-routed probes: one kernel call per probe, identical merges."""
-        est = AppearanceEstimator(n_samples=400, seed=5)
-        for partitioner in ("str", "hash"):
-            on = ShardedAccessMethod.build(
-                objects, shards=4, partitioner=partitioner, estimator=est,
-                filter_kernel="on",
-            )
-            off = ShardedAccessMethod.build(
-                objects, shards=4, partitioner=partitioner, estimator=est,
-                filter_kernel="off",
-            )
-            assert all(shard.kernel is not None for shard in on.shards)
-            assert all(shard.kernel is None for shard in off.shards)
-            rng = np.random.default_rng(29)
-            for _ in range(10):
-                query = ProbRangeQuery(
-                    Rect.from_center(
-                        rng.uniform(1500, 8500, 2), float(rng.uniform(150, 2000))
-                    ),
-                    float(rng.choice(THRESHOLDS)),
-                )
-                a = on.filter_candidates(query)
-                b = off.filter_candidates(query)
-                _assert_filter_equal(a, b)
-                assert a.shard_probes == b.shard_probes
-                assert a.shards_pruned == b.shards_pruned
+        sharded = ShardedAccessMethod.build(
+            objects, shards=4, partitioner=partitioner, method=method,
+            estimator=AppearanceEstimator(n_samples=400, seed=5),
+        )
+        _assert_matches_oracle(sharded, _random_queries(29, 10))
 
-    def test_nn_walk_identical(self, objects):
-        on = UTree(2, filter_kernel="on")
-        off = UTree(2, filter_kernel="off")
-        for obj in objects:
-            on.insert(obj)
-            off.insert(obj)
+
+def _oracle_walk(tree: UTree, point: np.ndarray, result: NNResult):
+    """The NN best-first walk with one scalar distance pair per leaf entry."""
+    best_worst = np.inf
+    candidates = []
+    heap = [(0.0, 0, tree.engine.root)]
+    counter = 1
+    while heap:
+        mindist, __, node = heapq.heappop(heap)
+        if mindist > best_worst:
+            break
+        tree.engine.store.touch_read(node.page_id)
+        result.node_accesses += 1
+        if node.is_leaf:
+            for entry in node.entries:
+                record = entry.data
+                lo, hi = record.mbr.lo, record.mbr.hi
+                d_min = _mindist(point, lo, hi)
+                d_max = _maxdist(point, lo, hi)
+                result.objects_examined += 1
+                best_worst = min(best_worst, d_max)
+                if d_min <= best_worst:
+                    candidates.append((d_min, d_max, record))
+        else:
+            for entry in node.entries:
+                lo, hi = entry.profile[0, 0], entry.profile[0, 1]
+                d_min = _mindist(point, lo, hi)
+                best_worst = min(best_worst, _maxdist(point, lo, hi))
+                if d_min <= best_worst:
+                    heapq.heappush(heap, (d_min, counter, entry.child))
+                    counter += 1
+    return candidates, best_worst
+
+
+class TestNearestNeighbourWalk:
+    def test_walk_matches_scalar_distances(self):
+        tree = UTree(2)
+        for obj in _family_objects(2, seed=97, n_rounds=3):
+            tree.insert(obj)
         rng = np.random.default_rng(37)
         for _ in range(10):
             point = rng.uniform(500, 9500, 2)
-            a = probabilistic_nearest_neighbors(on, point, rounds=300)
-            b = probabilistic_nearest_neighbors(off, point, rounds=300)
-            assert a.node_accesses == b.node_accesses
-            assert a.objects_examined == b.objects_examined
-            assert [
-                (c.oid, c.probability, c.expected_distance) for c in a.candidates
-            ] == [(c.oid, c.probability, c.expected_distance) for c in b.candidates]
+            got, want = NNResult(), NNResult()
+            candidates, best = _walk_candidates(tree, point, got)
+            oracle, oracle_best = _oracle_walk(tree, point, want)
+            assert got.node_accesses == want.node_accesses
+            assert got.objects_examined == want.objects_examined
+            assert [r.oid for *_, r in candidates] == [r.oid for *_, r in oracle]
+            # The batched row norm and the scalar vector norm may round
+            # the last bit differently; the admitted set is what counts.
+            np.testing.assert_allclose(
+                [(a, b) for a, b, _ in candidates] + [(best, best)],
+                [(a, b) for a, b, _ in oracle] + [(oracle_best, oracle_best)],
+                rtol=4 * np.finfo(float).eps, atol=0.0,
+            )
 
 
-class TestKnobResolution:
-    def test_resolve_values(self):
-        assert resolve_filter_kernel("on") is True
-        assert resolve_filter_kernel("OFF") is False
-        assert resolve_filter_kernel(True) is True
-        assert resolve_filter_kernel(False) is False
-        with pytest.raises(ValueError):
-            resolve_filter_kernel("sideways")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FILTER_KERNEL", raising=False)
-        assert resolve_filter_kernel(None) is True
-        assert UTree(2).kernel is not None
-        monkeypatch.setenv("REPRO_FILTER_KERNEL", "off")
-        assert resolve_filter_kernel(None) is False
-        assert UTree(2).kernel is None
-        assert SequentialScan(2).kernel is None
-        # An explicit knob beats the environment.
-        assert UTree(2, filter_kernel="on").kernel is not None
+def _rewrite_with_flag(path, flag: int) -> None:
+    """Add the per-archive kernel flag older versions of save_utree wrote."""
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["filter_kernel"] = np.int64(flag)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
 
 
 class TestSerializationRoundTrip:
-    def test_kernel_survives_save_load(self, tmp_path, monkeypatch):
-        # The archive flag only decides when neither the caller nor the
-        # environment overrides it; pin the env so the round-trip is
-        # deterministic under the CI scalar-filter leg too.
-        monkeypatch.delenv("REPRO_FILTER_KERNEL", raising=False)
-        objects = _family_objects(2, seed=131, n_rounds=2)
-        # Histogram-family objects round-trip; the zoo is built from
-        # serialisable families only.
-        tree = UTree(2, filter_kernel="on")
-        for obj in objects:
-            tree.insert(obj)
+    def test_loaded_tree_matches_saved_and_oracle(self, tmp_path):
         from repro.storage.serialize import load_utree, save_utree
 
+        # Histogram-family objects round-trip; the zoo is built from
+        # serialisable families only.
+        tree = UTree(2)
+        for obj in _family_objects(2, seed=131, n_rounds=2):
+            tree.insert(obj)
         path = tmp_path / "tree.npz"
         save_utree(tree, path)
+        with np.load(path) as archive:
+            assert "filter_kernel" not in archive.files
         loaded = load_utree(path)
-        assert loaded.kernel is not None
-        scalar = load_utree(path, filter_kernel="off")
-        assert scalar.kernel is None
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            query = ProbRangeQuery(
-                Rect.from_center(rng.uniform(1500, 8500, 2), float(rng.uniform(150, 2000))),
-                float(rng.choice(THRESHOLDS)),
-            )
+        queries = _random_queries(43, 10)
+        _assert_matches_oracle(loaded, queries)
+        for query in queries:
+            assert loaded.query(query).sorted_ids() == tree.query(query).sorted_ids()
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_archive_with_kernel_flag_loads(self, tmp_path, flag):
+        """Archives that still carry the kernel flag open with identical answers."""
+        from repro.storage.serialize import load_utree, save_utree
+
+        tree = UTree(2, estimator=AppearanceEstimator(n_samples=400, seed=5))
+        for obj in _family_objects(2, seed=131, n_rounds=2):
+            tree.insert(obj)
+        path = tmp_path / "tree.npz"
+        save_utree(tree, path)
+        plain = load_utree(path, AppearanceEstimator(n_samples=400, seed=5))
+        _rewrite_with_flag(path, flag)
+        flagged = load_utree(path, AppearanceEstimator(n_samples=400, seed=5))
+        for query in _random_queries(43, 10):
             _assert_filter_equal(
-                loaded.filter_candidates(query), scalar.filter_candidates(query)
+                flagged.filter_candidates(query), plain.filter_candidates(query)
             )
-            assert (
-                loaded.query(query).sorted_ids() == scalar.query(query).sorted_ids()
-            )
+            answer = flagged.query(query)
+            assert answer.object_ids == plain.query(query).object_ids
+            assert answer.sorted_ids() == tree.query(query).sorted_ids()

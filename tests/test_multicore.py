@@ -7,7 +7,7 @@ per-query ``QueryStats``, per-shard ``ShardStats`` and batch totals are
 partitions the probability memo and the sample cache cleanly across
 workers, and each worker mirrors the serial phase structure over its
 slice.  The matrix below pins that across {utree, upcr, scan} x
-{kernel on/off} x {shards 1/4}, with the thread backend asserted
+{shards 1/4} x {spread/hot workload}, with the thread backend asserted
 answers-identical alongside.
 
 Also here: the shared-memory plumbing (`SharedArena`, kernel column
@@ -46,8 +46,8 @@ from repro.uncertainty.regions import BallRegion
 
 N_SAMPLES = 600
 METHODS = ("utree", "upcr", "scan")
-KERNELS = (True, False)
 SHARD_COUNTS = (1, 4)
+WORKLOADS = ("spread", "hot")
 
 QUERY_FIELDS = (
     "node_accesses",
@@ -122,7 +122,19 @@ def _workload(n: int = 14, seed: int = 37) -> list[ProbRangeQuery]:
     ]
 
 
-def _build(method: str, kernel: bool, shards: int):
+def _hot_workload() -> list[ProbRangeQuery]:
+    """Repeated rectangles, at equal and at different thresholds: every
+    worker's memo and page-dedup counters must still sum to the serial
+    run's."""
+    base = _workload(6)
+    return [
+        *base,
+        *base[::-2],
+        *(ProbRangeQuery(q.rect, 0.9 if q.threshold < 0.9 else 0.4) for q in base[:3]),
+    ]
+
+
+def _build(method: str, shards: int):
     """A freshly built structure (own estimator) for one matrix cell."""
     objects = _objects()
     estimator = AppearanceEstimator(n_samples=N_SAMPLES, seed=1)
@@ -131,7 +143,6 @@ def _build(method: str, kernel: bool, shards: int):
         if method == "upcr"
         else UCatalog.paper_utree_default()
     )
-    filter_kernel = "on" if kernel else "off"
     if shards > 1:
         return ShardedAccessMethod.build(
             objects,
@@ -141,13 +152,9 @@ def _build(method: str, kernel: bool, shards: int):
             catalog=catalog,
             page_size=2048,
             estimator=estimator,
-            filter_kernel=filter_kernel,
         )
     cls = {"utree": UTree, "upcr": UPCRTree, "scan": SequentialScan}[method]
-    structure = cls(
-        2, catalog, page_size=2048, estimator=estimator,
-        filter_kernel=filter_kernel,
-    )
+    structure = cls(2, catalog, page_size=2048, estimator=estimator)
     for obj in objects:
         structure.insert(obj)
     return structure
@@ -186,19 +193,19 @@ class TestEquivalenceMatrix:
     """executor='process' vs 'thread' vs serial, exact counters."""
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("kernel", KERNELS, ids=["kernel", "scalar"])
+    @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("method", METHODS)
-    def test_process_counters_match_serial(self, method, kernel, shards):
-        queries = _workload()
-        serial = BatchExecutor(_build(method, kernel, shards)).run(queries)
+    def test_process_counters_match_serial(self, method, workload, shards):
+        queries = _workload() if workload == "spread" else _hot_workload()
+        serial = BatchExecutor(_build(method, shards)).run(queries)
         with ProcessBatchExecutor(
-            _build(method, kernel, shards), workers=3
+            _build(method, shards), workers=3
         ) as executor:
             process = executor.run(queries)
         _assert_equal_runs(serial, process, shards=shards)
 
         threaded = BatchExecutor(
-            _build(method, kernel, shards),
+            _build(method, shards),
             parallelism=2,
             serial_fallback_threshold=0,
         ).run(queries)
@@ -208,10 +215,10 @@ class TestEquivalenceMatrix:
 
     def test_second_batch_reuses_worker_memos(self):
         queries = _workload()
-        serial_executor = BatchExecutor(_build("utree", True, 1))
+        serial_executor = BatchExecutor(_build("utree", 1))
         first_serial = serial_executor.run(queries)
         second_serial = serial_executor.run(queries)
-        with ProcessBatchExecutor(_build("utree", True, 1), workers=2) as ex:
+        with ProcessBatchExecutor(_build("utree", 1), workers=2) as ex:
             first = ex.run(queries)
             second = ex.run(queries)
         assert first.batch.memo_hits == first_serial.batch.memo_hits
@@ -231,15 +238,15 @@ class TestEquivalenceMatrix:
             {"dedupe_pages": False},
             {"memoize": False, "dedupe_pages": False},
         ):
-            serial = BatchExecutor(_build("utree", True, 4), **knobs).run(queries)
+            serial = BatchExecutor(_build("utree", 4), **knobs).run(queries)
             with ProcessBatchExecutor(
-                _build("utree", True, 4), workers=2, **knobs
+                _build("utree", 4), workers=2, **knobs
             ) as ex:
                 process = ex.run(queries)
             _assert_equal_runs(serial, process, shards=4)
 
     def test_empty_workload_and_single_worker(self):
-        with ProcessBatchExecutor(_build("utree", True, 1), workers=1) as ex:
+        with ProcessBatchExecutor(_build("utree", 1), workers=1) as ex:
             empty = ex.run([])
             assert empty.answers == []
             assert empty.batch.queries == 0
@@ -248,9 +255,9 @@ class TestEquivalenceMatrix:
 
     def test_share_samples_prewarm_changes_costs_not_answers(self):
         queries = _workload(8)
-        serial = BatchExecutor(_build("utree", True, 1)).run(queries)
+        serial = BatchExecutor(_build("utree", 1)).run(queries)
         with ProcessBatchExecutor(
-            _build("utree", True, 1), workers=2, share_samples=True
+            _build("utree", 1), workers=2, share_samples=True
         ) as ex:
             process = ex.run(queries)
         assert [a.object_ids for a in process.answers] == [
@@ -263,7 +270,7 @@ class TestEquivalenceMatrix:
 
 class TestPoolLifecycle:
     def test_refork_after_update(self):
-        structure = _build("utree", True, 1)
+        structure = _build("utree", 1)
         queries = _workload(6)
         executor = ProcessBatchExecutor(structure, workers=2)
         before = executor.run(queries)
@@ -284,7 +291,7 @@ class TestPoolLifecycle:
         ]
 
     def test_close_is_idempotent_and_pool_reforks(self):
-        executor = ProcessBatchExecutor(_build("utree", True, 1), workers=2)
+        executor = ProcessBatchExecutor(_build("utree", 1), workers=2)
         queries = _workload(4)
         first = executor.run(queries)
         executor.close()
@@ -296,7 +303,7 @@ class TestPoolLifecycle:
         executor.close()
 
     def test_clear_memo_reaches_workers(self):
-        executor = ProcessBatchExecutor(_build("utree", True, 1), workers=2)
+        executor = ProcessBatchExecutor(_build("utree", 1), workers=2)
         queries = _workload(6)
         executor.run(queries)
         executor.clear_memo()
@@ -305,14 +312,14 @@ class TestPoolLifecycle:
         assert cold.batch.memo_hits == 0
 
     def test_worker_layout_property(self):
-        with ProcessBatchExecutor(_build("utree", True, 4), workers=3) as ex:
+        with ProcessBatchExecutor(_build("utree", 4), workers=3) as ex:
             assert ex.worker_layout == (0, 1, 2, 0)
-        with ProcessBatchExecutor(_build("utree", True, 1), workers=3) as ex:
+        with ProcessBatchExecutor(_build("utree", 1), workers=3) as ex:
             assert ex.worker_layout == ()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            ProcessBatchExecutor(_build("utree", True, 1), workers=0)
+            ProcessBatchExecutor(_build("utree", 1), workers=0)
 
 
 class TestSerialFallback:
@@ -320,8 +327,8 @@ class TestSerialFallback:
 
     def test_small_batch_falls_back_with_exact_counters(self):
         queries = _workload(6)
-        serial = BatchExecutor(_build("utree", True, 1)).run(queries)
-        parallel = BatchExecutor(_build("utree", True, 1), parallelism=4).run(
+        serial = BatchExecutor(_build("utree", 1)).run(queries)
+        parallel = BatchExecutor(_build("utree", 1), parallelism=4).run(
             queries
         )
         assert parallel.batch.serial_fallback is True
@@ -335,9 +342,9 @@ class TestSerialFallback:
 
     def test_threshold_zero_disables_fallback(self):
         queries = _workload(6)
-        serial = BatchExecutor(_build("utree", True, 1)).run(queries)
+        serial = BatchExecutor(_build("utree", 1)).run(queries)
         forced = BatchExecutor(
-            _build("utree", True, 1), parallelism=4, serial_fallback_threshold=0
+            _build("utree", 1), parallelism=4, serial_fallback_threshold=0
         ).run(queries)
         assert forced.batch.serial_fallback is False
         assert [a.object_ids for a in forced.answers] == [
@@ -346,7 +353,7 @@ class TestSerialFallback:
 
     def test_latency_batches_never_fall_back(self):
         result = BatchExecutor(
-            _build("utree", True, 1),
+            _build("utree", 1),
             parallelism=2,
             io_latency_seconds=0.0005,
         ).run(_workload(4))
@@ -354,7 +361,7 @@ class TestSerialFallback:
         assert result.batch.parallelism == 2
 
     def test_large_estimated_work_fans_out(self):
-        executor = BatchExecutor(_build("utree", True, 1), parallelism=2)
+        executor = BatchExecutor(_build("utree", 1), parallelism=2)
         many = _workload(4) * 200  # 800 queries x 600 samples > threshold
         assert executor._below_fallback_threshold(many) is False
         assert executor._below_fallback_threshold(_workload(4)) is True
@@ -362,7 +369,7 @@ class TestSerialFallback:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             BatchExecutor(
-                _build("utree", True, 1), serial_fallback_threshold=-1
+                _build("utree", 1), serial_fallback_threshold=-1
             )
 
 
@@ -384,7 +391,7 @@ class TestSharedMemoryPlumbing:
             arena.share_array(source)
 
     def test_kernel_rebind_preserves_classification(self):
-        structure = _build("utree", True, 1)
+        structure = _build("utree", 1)
         query = _workload(1)[0]
         before = structure.filter_candidates(query)
         arena = SharedArena()

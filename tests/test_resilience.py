@@ -57,7 +57,6 @@ SEED = 7
 N_OBJECTS = 40
 
 METHODS = ("utree", "upcr", "scan")
-KERNELS = ("on", "off")
 SHARD_COUNTS = (1, 4)
 
 
@@ -281,8 +280,8 @@ class TestStorageIntegrity:
 # worker supervision (executor level)
 # ----------------------------------------------------------------------
 
-def _build_method(method: str, kernel: str, shards: int):
-    cfg = _config(shards=shards, filter_kernel=kernel)
+def _build_method(method: str, shards: int):
+    cfg = _config(shards=shards)
     db = Database.create(_objects(), cfg, methods=(method,))
     return db, db._methods[method]
 
@@ -293,18 +292,21 @@ def _queries(n: int = 6):
 
 class TestWorkerSupervision:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("victim", (0, 1))
     @pytest.mark.parametrize("method", METHODS)
-    def test_killed_worker_matrix_answers_identical(self, method, kernel, shards):
-        """The acceptance matrix: a killed worker never changes answers."""
+    def test_killed_worker_matrix_answers_identical(self, method, victim, shards):
+        """The acceptance matrix: a killed worker never changes answers.
+
+        With four shards over three workers, worker 0 owns two shards
+        (layout ``(0, 1, 2, 0)``) and worker 1 owns one."""
         queries = _queries()
-        _, serial_method = _build_method(method, kernel, shards)
+        _, serial_method = _build_method(method, shards)
         serial = BatchExecutor(serial_method).run(queries)
-        _, proc_method = _build_method(method, kernel, shards)
+        _, proc_method = _build_method(method, shards)
         with ProcessBatchExecutor(
             proc_method, workers=3, worker_timeout=10.0, max_retries=2
         ) as ex:
-            kill_worker(ex, 1)
+            kill_worker(ex, victim)
             with pytest.warns(DegradedWarning):
                 survived = ex.run(queries)
         assert [a.object_ids for a in survived.answers] == [
@@ -318,9 +320,9 @@ class TestWorkerSupervision:
 
     def test_exit_mid_batch_recovers(self):
         queries = _queries()
-        _, serial_method = _build_method("utree", "on", 4)
+        _, serial_method = _build_method("utree", 4)
         serial = BatchExecutor(serial_method).run(queries)
-        _, proc_method = _build_method("utree", "on", 4)
+        _, proc_method = _build_method("utree", 4)
         with ProcessBatchExecutor(
             proc_method, workers=3, worker_timeout=10.0, max_retries=2
         ) as ex:
@@ -335,9 +337,9 @@ class TestWorkerSupervision:
 
     def test_hang_trips_deadline_and_recovers(self):
         queries = _queries()
-        _, serial_method = _build_method("utree", "on", 1)
+        _, serial_method = _build_method("utree", 1)
         serial = BatchExecutor(serial_method).run(queries)
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         with ProcessBatchExecutor(
             proc_method, workers=2, worker_timeout=0.5, max_retries=1
         ) as ex:
@@ -352,7 +354,7 @@ class TestWorkerSupervision:
         assert survived.batch.fault_retries == 1
 
     def test_retry_budget_exhausted_raises_worker_error(self):
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         ex = ProcessBatchExecutor(
             proc_method, workers=2, worker_timeout=10.0, max_retries=0
         )
@@ -367,7 +369,7 @@ class TestWorkerSupervision:
             ex.close()
 
     def test_all_hung_budget_exhausted_raises_worker_timeout(self):
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         ex = ProcessBatchExecutor(
             proc_method, workers=1, worker_timeout=0.3, max_retries=0
         )
@@ -383,9 +385,9 @@ class TestWorkerSupervision:
     def test_second_fault_on_retry_consumes_budget(self):
         # Budget 2: first retry's replacement dies too, second succeeds.
         queries = _queries()
-        _, serial_method = _build_method("utree", "on", 1)
+        _, serial_method = _build_method("utree", 1)
         serial = BatchExecutor(serial_method).run(queries)
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         with ProcessBatchExecutor(
             proc_method, workers=2, worker_timeout=10.0, max_retries=2
         ) as ex:
@@ -402,7 +404,7 @@ class TestWorkerSupervision:
     def test_pool_reusable_after_failure(self):
         """Satellite 1: a failed exchange must not leave dead pipes behind."""
         queries = _queries()
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         with ProcessBatchExecutor(proc_method, workers=2) as ex:
             first = ex.run(queries)
             kill_worker(ex, 0)
@@ -418,7 +420,7 @@ class TestWorkerSupervision:
     def test_worker_error_status_is_never_retried(self):
         # A worker replying with a traceback is a deterministic bug, not
         # a fault domain to respawn: no retries are consumed.
-        _, proc_method = _build_method("utree", "on", 1)
+        _, proc_method = _build_method("utree", 1)
         with ProcessBatchExecutor(
             proc_method, workers=2, worker_timeout=10.0, max_retries=3
         ) as ex:

@@ -4,7 +4,8 @@ The heart of this module is the wire-equivalence matrix: answers served
 over a real socket must be *bit-identical* — object ids AND appearance
 probabilities compared with ``==`` — to ``Database.run`` /
 ``Database.probabilities`` on the same engine, across
-{utree, upcr, scan} x {kernel on/off} x {shards 1/4}.  The server adds
+{utree, upcr, scan} x {shards 1/4} x {one batch frame / one frame per
+spec}.  The server adds
 no execution path of its own; these tests keep it that way.
 
 Around the matrix: snapshot consistency under concurrent writes (every
@@ -36,13 +37,13 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     recv_frame,
     send_frame,
+    spec_doc,
 )
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
 N_SAMPLES = 1000
 SEED = 11
 METHODS = ("utree", "upcr", "scan")
-KERNELS = (True, False)
 SHARD_COUNTS = (1, 4)
 
 
@@ -58,11 +59,10 @@ def _range_specs():
     ]
 
 
-def _make_db(method="utree", *, kernel=True, shards=1, **overrides):
+def _make_db(method="utree", *, shards=1, **overrides):
     config = ExecConfig(
         mc_samples=N_SAMPLES,
         seed=SEED,
-        filter_kernel=kernel,
         shards=shards,
         **overrides,
     )
@@ -75,10 +75,10 @@ def _make_db(method="utree", *, kernel=True, shards=1, **overrides):
 
 class TestWireEquivalence:
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("kernel", KERNELS, ids=("kernel", "nokernel"))
+    @pytest.mark.parametrize("framing", ("batch", "per-spec"))
     @pytest.mark.parametrize("shards", SHARD_COUNTS, ids=("1shard", "4shards"))
-    def test_range_ids_and_probs_bit_identical(self, method, kernel, shards):
-        db = _make_db(method, kernel=kernel, shards=shards)
+    def test_range_ids_and_probs_bit_identical(self, method, framing, shards):
+        db = _make_db(method, shards=shards)
         specs = _range_specs()
         direct = db.run(specs)
         expected = [
@@ -87,10 +87,16 @@ class TestWireEquivalence:
         ]
         with QueryServer(db) as server:
             with ServeClient(*server.address) as client:
-                served = client.run(specs, probs=True)
-        assert len(served) == len(specs)
+                if framing == "batch":
+                    runs = [client.run(specs, probs=True)]
+                else:
+                    runs = [client.run([spec], probs=True) for spec in specs]
+        results = [r for run in runs for r in run.results]
+        served_probs = [p for run in runs for p in run.probs]
+        assert sum(len(run) for run in runs) == len(specs)
+        assert len(results) == len(served_probs) == len(specs)
         for (exp_ids, exp_probs), result, probs in zip(
-            expected, served.results, served.probs
+            expected, results, served_probs
         ):
             assert result.object_ids == exp_ids
             assert probs == exp_probs
@@ -133,8 +139,7 @@ class TestWireEquivalence:
             with ServeClient(*server.address) as client:
                 for overlay in (
                     {"parallelism": 4},
-                    {"filter_kernel": False},
-                    {"parallelism": 2, "filter_kernel": True},
+                    {"parallelism": 2, "method": "utree"},
                 ):
                     served = client.run(specs, **overlay)
                     assert [r.object_ids for r in served.results] == expected
@@ -401,6 +406,26 @@ class TestProtocolFaults:
             # The connection survives typed request errors.
             assert client.ping()["protocol"] == PROTOCOL_VERSION
 
+    def test_retired_filter_kernel_overlay_rejected(self, server):
+        with ServeClient(*server.address) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client._call(
+                    "run",
+                    {
+                        "specs": [spec_doc(_range_specs()[0])],
+                        "overlay": {"filter_kernel": False},
+                    },
+                )
+            assert excinfo.value.code == "BAD_REQUEST"
+            assert "filter_kernel" in excinfo.value.message
+            assert client.ping()["protocol"] == PROTOCOL_VERSION
+
+    def test_client_run_has_no_filter_kernel_argument(self, server):
+        with ServeClient(*server.address) as client:
+            with pytest.raises(TypeError, match="filter_kernel"):
+                client.run(_range_specs()[:1], filter_kernel=False)
+            assert len(client.run(_range_specs()[:1])) == 1
+
     def test_unknown_method_overlay(self, server):
         with ServeClient(*server.address) as client:
             with pytest.raises(ServeError) as excinfo:
@@ -452,7 +477,7 @@ class TestLifecycle:
             while not stop.is_set():
                 try:
                     # Vary the overlay so new executors keep being built
-                    # (each (executor, parallelism, kernel) key is a
+                    # (each (executor, parallelism) key is a
                     # fresh cache entry racing the close).
                     parallelism = parallelism % 4 + 1
                     db.run(specs[:1], parallelism=parallelism)

@@ -6,7 +6,7 @@ Three tiers of fault coverage:
    truncated-prefix sweep at *every byte offset* of a multi-entry log
    (cheap: each probe is one file parse, no database rebuild).
 2. **Entry-boundary end-to-end** — the {mono utree, sharded utree, upcr,
-   scan} x {kernel on/off} matrix: checkpoint, run a mixed
+   scan} x {first/repeated checkpoint} matrix: checkpoint, run a mixed
    insert/delete/rebalance trace, crash at each WAL entry boundary (and
    just past it), recover via ``Database.open``, re-apply the
    unacknowledged remainder, and assert answers match the uninterrupted
@@ -216,20 +216,19 @@ def _answers(db: Database) -> list[list[int]]:
     return [db.query(spec).sorted_ids() for spec in _specs()]
 
 
-def _config(method: str, kernel: str) -> ExecConfig:
+def _config(method: str) -> ExecConfig:
     shards = 3 if method == "utree@sharded" else 1
     return ExecConfig(
         wal=True,
         mc_samples=MC_SAMPLES,
         seed=SEED,
         shards=shards,
-        filter_kernel=kernel,
     )
 
 
-def _build(method: str, kernel: str) -> Database:
+def _build(method: str) -> Database:
     base = method.split("@")[0]
-    return Database.create(_objects(), _config(method, kernel), methods=(base,))
+    return Database.create(_objects(), _config(method), methods=(base,))
 
 
 def _wal_path(archive_dir) -> str:
@@ -238,28 +237,38 @@ def _wal_path(archive_dir) -> str:
     return os.path.join(archive_dir, manifest["wal"])
 
 
-MATRIX = [
-    (method, kernel)
-    for method in ("utree@mono", "utree@sharded", "upcr", "scan")
-    for kernel in ("on", "off")
-]
+MATRIX = ("utree@mono", "utree@sharded", "upcr", "scan")
+CHECKPOINTS = ("first", "repeated")
+
+
+def _checkpoint(db: Database, archive, checkpoint: str) -> None:
+    """Save ``db`` to ``archive``.  ``repeated`` first logs a few
+    operations after an initial save and checkpoints again, so recovery
+    replays the log over an incrementally rewritten archive."""
+    db.save(archive)
+    if checkpoint == "repeated":
+        db.insert(_new_object(90))
+        db.delete(7)
+        report = db.save(archive)
+        assert report["written"]
 
 
 # ----------------------------------------------------------------------
-# tier 2: entry-boundary crashes, full method/kernel matrix
+# tier 2: entry-boundary crashes, full method matrix
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("method,kernel", MATRIX)
+@pytest.mark.parametrize("method", MATRIX)
+@pytest.mark.parametrize("checkpoint", CHECKPOINTS)
 class TestRecoveryMatrix:
-    def test_crash_at_every_entry_boundary(self, tmp_path, method, kernel):
+    def test_crash_at_every_entry_boundary(self, tmp_path, method, checkpoint):
         """Checkpoint, run the trace, crash after k acked ops, recover.
 
         Recovery + re-applying the unacknowledged remainder must answer
         every query exactly like the run that never crashed.
         """
-        db = _build(method, kernel)
+        db = _build(method)
         archive = tmp_path / "db"
-        db.save(archive)
+        _checkpoint(db, archive, checkpoint)
         for op, arg in TRACE:
             _apply(db, op, arg)
         expected = _answers(db)
@@ -283,11 +292,11 @@ class TestRecoveryMatrix:
             recovered.close()
 
     def test_crash_mid_entry_loses_only_the_unacked_op(
-        self, tmp_path, method, kernel
+        self, tmp_path, method, checkpoint
     ):
-        db = _build(method, kernel)
+        db = _build(method)
         archive = tmp_path / "db"
-        db.save(archive)
+        _checkpoint(db, archive, checkpoint)
         for op, arg in TRACE:
             _apply(db, op, arg)
         expected = _answers(db)
@@ -315,7 +324,7 @@ class TestCrashingDatabase:
 
     def test_log_before_apply(self, tmp_path):
         """A crash during the commit leaves memory unchanged (unacked)."""
-        db = _build("utree@mono", "on")
+        db = _build("utree@mono")
         db.save(tmp_path / "db")
         size_before = len(db)
         db.wal.reopen(crashing_factory(ByteBudget(4)))  # dies mid-header
@@ -331,7 +340,7 @@ class TestCrashingDatabase:
     def test_sampled_budgets_recover_exactly_the_acked_prefix(
         self, tmp_path, budget_bytes
     ):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         db.wal.reopen(crashing_factory(ByteBudget(budget_bytes)))
@@ -344,7 +353,7 @@ class TestCrashingDatabase:
             acked += 1
         db.close()
         # Build the uninterrupted twin for the expected answers.
-        twin = _build("utree@sharded", "on")
+        twin = _build("utree@sharded")
         for op, arg in TRACE:
             _apply(twin, op, arg)
         expected = _answers(twin)
@@ -363,7 +372,7 @@ class TestCrashingDatabase:
     )
     def test_exhaustive_every_byte_end_to_end(self, tmp_path):
         """Kill the WAL write stream at EVERY byte offset of the trace."""
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         for op, arg in TRACE:
@@ -395,7 +404,7 @@ class TestCrashingDatabase:
 
 class TestIncrementalSave:
     def test_first_save_writes_every_member(self, tmp_path):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         report = db.save(tmp_path / "db")
         assert sorted(report["written"]) == [
             "utree/shard0", "utree/shard1", "utree/shard2",
@@ -404,7 +413,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_clean_members_are_skipped(self, tmp_path):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         db.save(tmp_path / "db")
         report = db.save(tmp_path / "db")
         assert report["written"] == []
@@ -412,7 +421,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_touching_one_shard_rewrites_one_member(self, tmp_path):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         before = {
@@ -432,7 +441,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_checkpoint_truncates_the_log(self, tmp_path):
-        db = _build("utree@mono", "on")
+        db = _build("utree@mono")
         archive = tmp_path / "db"
         db.save(archive)
         db.insert(_new_object(100))
@@ -446,7 +455,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_rebalance_marks_members_dirty(self, tmp_path):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         db.rebalance()
@@ -455,7 +464,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_open_rejects_wal_off_config(self, tmp_path):
-        db = _build("utree@mono", "on")
+        db = _build("utree@mono")
         db.save(tmp_path / "db")
         db.close()
         with pytest.raises(ValueError, match="WAL-backed"):
@@ -465,13 +474,13 @@ class TestIncrementalSave:
         foreign = tmp_path / "db"
         foreign.mkdir()
         (foreign / "MANIFEST.json").write_text('{"format": "something-else"}')
-        db = _build("utree@mono", "on")
+        db = _build("utree@mono")
         with pytest.raises(ValueError, match="foreign"):
             db.save(foreign)
         db.close()
 
     def test_stale_members_are_garbage_collected(self, tmp_path):
-        db = _build("utree@sharded", "on")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         db.delete(2)
@@ -483,7 +492,7 @@ class TestIncrementalSave:
         db.close()
 
     def test_durability_begins_at_first_checkpoint(self, tmp_path):
-        db = _build("utree@mono", "on")
+        db = _build("utree@mono")
         assert db.wal is None  # pre-checkpoint mutations are in-memory only
         db.insert(_new_object(100))
         db.save(tmp_path / "db")
@@ -564,7 +573,7 @@ class TestPickleFreeArchives:
         assert _answers(reopened) == _answers(db)
 
     def test_wal_members_load_without_pickle(self, tmp_path):
-        db = _build("utree@sharded", "off")
+        db = _build("utree@sharded")
         archive = tmp_path / "db"
         db.save(archive)
         manifest = json.load(open(os.path.join(archive, "MANIFEST.json")))
