@@ -15,13 +15,15 @@ phase first, fetches each candidate data page once for the entire batch
 (skipping pages whose every candidate is already memoised), then refines
 per query through the :class:`~repro.exec.refine.RefinementEngine`
 (shared column-major sample clouds) with a memo keyed on
-``(disk address, query_rect)``.  The memo is FIFO-bounded: at the start
-of every batch its oldest entries beyond :data:`MEMO_CAP` are dropped,
-so it only ever grows *within* a batch, which the batch-start fetch plan
-relies on.  A reused object id lands at a fresh
-address, and under ``reclaim`` a freed address's entries are dropped
-before the next batch (its slot may now hold another record), so no
-query is ever served a stale probability.  The Monte-Carlo
+``(disk address, query_rect)``, the rectangle given as its coordinate
+bytes (:func:`~repro.exec.refine.memo_rect_key`).
+The memo is FIFO-bounded: at the start of every batch its oldest
+entries beyond :data:`MEMO_CAP` are dropped, so it only ever grows
+*within* a batch, which the batch-start fetch plan relies on.  A
+reused object id lands at a fresh address, and under ``reclaim`` a
+freed address's entries are dropped before the next batch (its slot
+may now hold another record), so no query is ever served a stale
+probability.  The Monte-Carlo
 estimator derives its sample stream from ``(seed, object_id)``, so
 memoised and engine-computed values are bit-identical to freshly
 recomputed ones — batching changes cost, never answers.
@@ -72,8 +74,7 @@ from itertools import islice
 from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.stats import QueryStats, ShardStats, WorkloadStats
 from repro.exec.access import AccessMethod, FilterResult
-from repro.exec.refine import RefinementEngine, refine_with_engine
-from repro.geometry.rect import Rect
+from repro.exec.refine import RefinementEngine, memo_rect_key, refine_with_engine
 from repro.storage.bufferpool import pool_counters, pools_of
 from repro.storage.pager import DiskAddress
 
@@ -343,7 +344,7 @@ class BatchExecutor:
             if serial_fallback_threshold is None
             else int(serial_fallback_threshold)
         )
-        self._prob_memo: dict[tuple[DiskAddress, Rect], float] = {}
+        self._prob_memo: dict[tuple[DiskAddress, bytes], float] = {}
         self._memo_releases = method.data_file.released_slots
         self._pools = pools_of(method)
 
@@ -547,11 +548,11 @@ class BatchExecutor:
         if self.dedupe_pages:
             fetch_pages: set[int] = set()
             for query, _, _, candidates in per_query:
-                rect = query.rect
+                rect_key = memo_rect_key(query.rect)
                 fetch_pages.update(
                     addr.page_id
                     for _, addr in candidates
-                    if memo is None or (addr, rect) not in memo
+                    if memo is None or (addr, rect_key) not in memo
                 )
             for page_id in sorted(fetch_pages):
                 page_payloads[page_id] = method.data_file.read_page(page_id)
@@ -681,13 +682,13 @@ class BatchExecutor:
                 stats.shards_pruned = filtered.shards_pruned
                 answer.object_ids.extend(filtered.validated)
                 candidates = filtered.candidates
-                rect = query.rect
+                rect_key = memo_rect_key(query.rect)
                 for _, addr in candidates:
                     needed_pages.add(addr.page_id)
                     if (
                         self.dedupe_pages
                         and addr.page_id not in page_futures
-                        and (memo is None or (addr, rect) not in memo)
+                        and (memo is None or (addr, rect_key) not in memo)
                     ):
                         page_futures[addr.page_id] = io_pool.submit(
                             fetch, addr.page_id

@@ -84,7 +84,7 @@ from repro.core.query import ProbRangeQuery, QueryAnswer
 from repro.core.stats import QueryStats
 from repro.exec.access import AccessMethod, FilterResult
 from repro.exec.batch import MEMO_CAP, BatchExecutor, BatchResult, trim_memo
-from repro.exec.refine import RefinementEngine, refine_with_engine
+from repro.exec.refine import RefinementEngine, memo_rect_key, refine_with_engine
 from repro.faults import DegradedWarning, WorkerError, WorkerTimeout
 from repro.storage.shm import SharedArena
 
@@ -173,11 +173,11 @@ def _do_refine(
         fetch_start = time.perf_counter()
         fetch_pages: set[int] = set()
         for _, query, candidates in entries:
-            rect = query.rect
+            rect_key = memo_rect_key(query.rect)
             fetch_pages.update(
                 address.page_id
                 for _, address in candidates
-                if memo is None or (address, rect) not in memo
+                if memo is None or (address, rect_key) not in memo
             )
         pages = {}
         for page_id in sorted(fetch_pages):

@@ -48,7 +48,7 @@ from repro.storage.pager import DataFile, DiskAddress
 from repro.uncertainty.montecarlo import AppearanceEstimator, SampleCache, mask_reduce
 from repro.uncertainty.objects import UncertainObject
 
-__all__ = ["RefinementEngine", "refine_with_engine"]
+__all__ = ["RefinementEngine", "memo_rect_key", "refine_with_engine"]
 
 # One shared engine per estimator: QueryExecutor, BatchExecutor and the
 # Planner all ask for "the engine for this method", and giving each its
@@ -58,6 +58,21 @@ __all__ = ["RefinementEngine", "refine_with_engine"]
 _SHARED_ENGINES: "weakref.WeakKeyDictionary[AppearanceEstimator, RefinementEngine]" = (
     weakref.WeakKeyDictionary()
 )
+
+
+def memo_rect_key(rect: Rect) -> bytes:
+    """The query half of a P_app memo key: ``rect``'s coordinates as bytes.
+
+    It stands in for the :class:`Rect` in the ``(address, rect)`` memo
+    key, and each user builds it once per query: the batch fetch plan
+    for its skip-fetch probe, :func:`refine_with_engine` for its
+    lookups and stores.  A bytes object caches its hash and
+    compares with one ``memcmp``; a ``Rect`` key re-hashed both
+    coordinate vectors on every probe and ran two ``np.array_equal``
+    calls on every hit.  ``lo`` and ``hi`` have one length, so equal keys
+    are equal rectangles.
+    """
+    return rect.lo.tobytes() + rect.hi.tobytes()
 
 
 def _short_circuit(rect: Rect, mbr: Rect) -> float | None:
@@ -216,7 +231,7 @@ def refine_with_engine(
     *,
     pages: Mapping[int, list] | None = None,
     page_loader: Callable[[int], list] | None = None,
-    memo: dict[tuple[DiskAddress, Rect], float] | None = None,
+    memo: dict[tuple[DiskAddress, bytes], float] | None = None,
     attribute_cache: bool = True,
 ) -> int:
     """The engine-backed refinement step shared by every executor.
@@ -231,7 +246,8 @@ def refine_with_engine(
     ``results`` in page order.  ``stats`` additionally receives
     sample-cache hit/miss deltas and fetch/refine wall-clock.
 
-    The memo is keyed on ``(DiskAddress, rect)``: a reused *oid*
+    The memo is keyed on ``(DiskAddress, memo_rect_key(rect))``: a
+    reused *oid*
     (delete + re-insert) lands at a fresh address, and when ``reclaim``
     lets it land on its old slot instead, the owning executor has
     already dropped that address's entries (see
@@ -256,14 +272,14 @@ def refine_with_engine(
     fetch_seconds = 0.0
     fetched_pages = 0
     pending_pairs: list[tuple[int, UncertainObject]] = []  # (result slot, object)
-    pending_keys: list[tuple[DiskAddress, Rect]] = []
+    pending_keys: list[tuple[DiskAddress, bytes]] = []
+    rect_key = memo_rect_key(rect)
     verdicts: list[float] = []
     ordered_oids: list[int] = []
     for page_id, group in sorted(by_page.items()):
         stats.data_page_reads += 1  # logical charge, fetched or not
-        # One memo lookup per pair: the key hashes the query rect, so
-        # it is built once and reused for the store below.
-        keys = [(address, rect) for _, address in group]
+        # One memo lookup per pair; the key is reused for the store below.
+        keys = [(address, rect_key) for _, address in group]
         known = [None] * len(group) if memo is None else [memo.get(k) for k in keys]
         payloads = None
         if None in known:

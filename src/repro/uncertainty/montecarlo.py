@@ -22,6 +22,11 @@ cached arrays (:func:`mask_reduce`, which also skips the rectangle faces
 the cloud's stored per-axis bounds show every sample passes).  Results
 are bit-identical to the uncached path because the cache replays exactly
 the draw the estimator would have made.
+
+Under a uniform pdf (paper Eq. 1) every sample carries the same weight
+``1 / vol``.  Such a *constant-weight* cloud keeps no weight row of its
+own: ``weights`` is a read-only zero-stride view of its single value.
+A uniform 2-D cloud of 10,000 samples is then 160 KB instead of 240 KB.
 """
 
 from __future__ import annotations
@@ -55,7 +60,10 @@ class ObjectSamples:
     The cloud is stored column-major: ``columns`` is a C-contiguous
     ``(d, n1)`` block whose rows are the per-axis coordinates, and
     ``weights`` is the row after it in the same buffer (see
-    :func:`draw_samples`).  :func:`mask_reduce` tests a
+    :func:`draw_samples`) -- unless every weight is the same positive
+    value, when ``weights`` is a read-only zero-stride view of that one
+    value and the cloud owns no weight row (:attr:`constant_weight`).
+    :func:`mask_reduce` tests a
     rectangle one axis at a time over those contiguous rows, which is
     several times faster than an ``(n1, d)`` row-major mask and selects
     the same samples in the same order.
@@ -64,7 +72,8 @@ class ObjectSamples:
         columns: ``(d, n1)`` C-contiguous coordinates of the ``n1``
             uniform draws from the uncertainty region; ``columns[i]`` is
             axis ``i``.
-        weights: pdf values at each point.
+        weights: pdf values at each point (a zero-stride view for a
+            constant-weight cloud).
         total: ``float(weights.sum())`` — the estimator's normaliser,
             stored so cached and uncached estimates divide by the exact
             same float.
@@ -92,7 +101,15 @@ class ObjectSamples:
         return self.columns.T
 
     @property
+    def constant_weight(self) -> bool:
+        """Whether every sample has one weight, held as a zero-stride view."""
+        return self.weights.strides[0] == 0
+
+    @property
     def nbytes(self) -> int:
+        """Bytes the cloud owns: its columns, plus its weight row if any."""
+        if self.constant_weight:
+            return self.columns.nbytes
         return self.columns.nbytes + self.weights.nbytes
 
 
@@ -125,7 +142,10 @@ def draw_samples(
     weighted row-major exactly as the region and density define them;
     only then are they copied into one ``(d + 1, n1)`` buffer whose first
     ``d`` rows are ``columns`` and whose last row is ``weights``, so the
-    values (and ``total``) do not depend on the layout.  The per-axis
+    values (and ``total``) do not depend on the layout.  When every drawn
+    weight equals the first and is positive (a uniform pdf), the buffer
+    has only the ``d`` column rows and ``weights`` is a read-only
+    zero-stride view of that value.  The per-axis
     bounds ``low``/``high`` are reduced over the contiguous columns.
     Clouds of at least :data:`MMAP_FLOOR_BYTES` live in an anonymous
     mapping outside the malloc heap.
@@ -134,13 +154,18 @@ def draw_samples(
     points = density.region.sample(n_samples, rng)
     weights = density.density(points)
     dim = points.shape[1]
-    buffer = _cloud_buffer(dim + 1, len(weights))
+    constant = weights.size > 0 and weights[0] > 0.0 and (weights == weights[0]).all()
+    buffer = _cloud_buffer(dim if constant else dim + 1, len(weights))
     buffer[:dim] = points.T
-    buffer[dim] = weights
+    if constant:
+        row = np.broadcast_to(weights[0], weights.shape)
+    else:
+        buffer[dim] = weights
+        row = buffer[dim]
     columns = buffer[:dim]
     return ObjectSamples(
         columns=columns,
-        weights=buffer[dim],
+        weights=row,
         total=float(weights.sum()),
         low=tuple(columns.min(axis=1).tolist()),
         high=tuple(columns.max(axis=1).tolist()),
@@ -165,6 +190,9 @@ def mask_reduce(samples: ObjectSamples, rect: Rect) -> float:
     * otherwise the mask is ANDed one axis at a time over the contiguous
       columns, and ``weights.compress(mask)`` gathers the same weights in
       the same order as ``weights[mask]``, so the sum is the same float.
+      From a constant-weight cloud's zero-stride row it gathers ``k``
+      copies of the one value into a new contiguous array, the same
+      array a stored row of that value would give.
     """
     total = samples.total
     if total <= 0.0:
@@ -366,16 +394,18 @@ class SampleCache:
         live in shared anonymous mappings, so forked workers read one
         physical copy.  The ``(d, n1)`` column buffer is shared as it is
         (already C-contiguous), so workers keep contiguous columns and
-        ``points`` stays a view of it.  Totals, cloud bounds and density
-        refs are preserved, so estimates remain bit-identical.  Returns
-        the number of clouds rebound.
+        ``points`` stays a view of it.  A constant-weight cloud shares its
+        columns only: its zero-stride weight view owns nothing to share.
+        Totals, cloud bounds and density refs are preserved, so estimates
+        remain bit-identical.  Returns the number of clouds rebound.
         """
         with self._lock:
             for oid, entry in list(self._entries.items()):
+                weights = entry.weights
                 self._entries[oid] = replace(
                     entry,
                     columns=share(entry.columns),
-                    weights=share(entry.weights),
+                    weights=weights if entry.constant_weight else share(weights),
                 )
             return len(self._entries)
 

@@ -229,18 +229,22 @@ class TestSampleCache:
         assert RefinementEngine(1000, 3) is not a
 
     def test_byte_budget_evicts_lru(self, zoo):
-        one_entry = SampleCache(N_SAMPLES, SEED, capacity=8).get(
-            zoo[0].pdf, zoo[0].oid
-        )
-        # Budget for two clouds: the third get evicts the oldest.
+        # zoo[0] and zoo[1] are uniform clouds (columns only), zoo[2] a
+        # constrained-Gaussian one (columns plus its weight row).
+        sizes = [
+            SampleCache(N_SAMPLES, SEED, capacity=8).get(obj.pdf, obj.oid).nbytes
+            for obj in zoo[:3]
+        ]
+        assert sizes == [8 * N_SAMPLES * 2] * 2 + [8 * N_SAMPLES * 3]
+        # Budget for the last two clouds: the third get evicts the oldest.
         cache = SampleCache(
-            N_SAMPLES, SEED, capacity=8, max_bytes=2 * one_entry.nbytes
+            N_SAMPLES, SEED, capacity=8, max_bytes=sizes[1] + sizes[2]
         )
         for obj in zoo[:3]:
             cache.get(obj.pdf, obj.oid)
         assert len(cache) == 2
         assert cache.evictions == 1
-        assert cache.resident_bytes <= 2 * one_entry.nbytes
+        assert cache.resident_bytes == sizes[1] + sizes[2]
         assert zoo[0].oid not in cache
 
     def test_byte_budget_always_keeps_one_entry(self, zoo):
@@ -488,28 +492,32 @@ class TestColumnLayout:
     """Clouds are stored column-major: one contiguous ``(d, n1)`` buffer."""
 
     @staticmethod
-    def _assert_layout(samples, n_samples: int, dim: int) -> None:
+    def _assert_layout(samples, n_samples: int, dim: int, pdf) -> None:
         assert samples.columns.shape == (dim, n_samples)
         for column in samples.columns:
             assert column.flags["C_CONTIGUOUS"]
         assert samples.points.shape == (n_samples, dim)
         assert np.shares_memory(samples.points, samples.columns[0])
-        # points is a view of the column buffer, never a second copy.
-        assert samples.nbytes == 8 * n_samples * dim + samples.weights.nbytes
+        # points is a view of the column buffer, never a second copy; a
+        # uniform cloud owns no weight row, any other owns one of n1.
+        constant = isinstance(pdf, UniformDensity)
+        assert samples.constant_weight == constant
+        weight_bytes = 0 if constant else 8 * n_samples
+        assert samples.nbytes == 8 * n_samples * dim + weight_bytes
 
     def test_layout_before_and_after_rebind(self, zoo):
         cache = SampleCache(N_SAMPLES, SEED)
         cache.prewarm((obj.pdf, obj.oid) for obj in zoo)
         before = {obj.oid: cache.get(obj.pdf, obj.oid) for obj in zoo}
-        for samples in before.values():
-            self._assert_layout(samples, N_SAMPLES, 2)
+        for obj in zoo:
+            self._assert_layout(before[obj.oid], N_SAMPLES, 2, obj.pdf)
         resident = cache.resident_bytes
         arena = SharedArena()
         try:
             assert cache.rebind_resident(arena.share_array) == len(zoo)
             for obj in zoo:
                 after = cache.get(obj.pdf, obj.oid)
-                self._assert_layout(after, N_SAMPLES, 2)
+                self._assert_layout(after, N_SAMPLES, 2, obj.pdf)
                 assert after.nbytes == before[obj.oid].nbytes
                 assert np.array_equal(after.columns, before[obj.oid].columns)
             assert cache.resident_bytes == resident
@@ -521,7 +529,7 @@ class TestColumnLayout:
         cache = SampleCache(N_SAMPLES, SEED)
         for obj in zoo:
             drawn = estimator.samples_for(obj.pdf, obj.oid)
-            self._assert_layout(drawn, N_SAMPLES, 2)
+            self._assert_layout(drawn, N_SAMPLES, 2, obj.pdf)
             cached = cache.get(obj.pdf, obj.oid)
             assert np.array_equal(drawn.columns, cached.columns)
             assert drawn.total == cached.total
@@ -684,13 +692,18 @@ def _cloud_density(dim: int, kind: str):
 
 @st.composite
 def _cloud_rects(draw):
-    """A 1-, 2- or 3-D cloud and a rectangle whose faces sit on the
-    cloud's bounds, on sample coordinates, or away from the cloud."""
+    """A 1-, 2- or 3-D cloud and a rectangle from :func:`_rect_on_cloud`."""
     dim = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["ball", "box"]))
     oid = draw(st.integers(0, 3))
     samples = draw_samples(_cloud_density(dim, kind), 400, SEED, oid)
-    columns = samples.columns
+    return samples, _rect_on_cloud(draw, samples.columns)
+
+
+def _rect_on_cloud(draw, columns: np.ndarray) -> Rect:
+    """A rectangle whose faces sit on the cloud's bounds, on sample
+    coordinates or one ulp off them, or away from the cloud."""
+    dim = columns.shape[0]
     low = columns.min(axis=1)
     high = columns.max(axis=1)
     shape = draw(
@@ -698,11 +711,16 @@ def _cloud_rects(draw):
     )
 
     def face(axis: int, side: str) -> float:
-        choice = draw(st.sampled_from(["bound", "sample", "beyond", "between"]))
+        choice = draw(
+            st.sampled_from(["bound", "sample", "sample-ulp", "beyond", "between"])
+        )
         if choice == "bound":
             return float(low[axis] if side == "lo" else high[axis])
-        if choice == "sample":
-            return float(columns[axis, draw(st.integers(0, columns.shape[1] - 1))])
+        if choice in ("sample", "sample-ulp"):
+            value = columns[axis, draw(st.integers(0, columns.shape[1] - 1))]
+            if choice == "sample-ulp":
+                value = np.nextafter(value, draw(st.sampled_from([-np.inf, np.inf])))
+            return float(value)
         if choice == "beyond":
             return float(low[axis] - 50.0 if side == "lo" else high[axis] + 50.0)
         return float(draw(st.floats(float(low[axis]), float(high[axis]))))
@@ -744,7 +762,7 @@ def _cloud_rects(draw):
         lo[axis] = hi[axis] = point[axis]
         if draw(st.booleans()):
             lo[:] = hi[:] = point
-    return samples, Rect(lo, hi)
+    return Rect(lo, hi)
 
 
 class TestMaskReduceExact:
@@ -806,3 +824,189 @@ class TestMaskReduceExact:
                 assert (shared.low, shared.high) == (fresh.low, fresh.high)
                 for rect in rects:
                     assert mask_reduce(shared, rect) == _masked_share(fresh, rect)
+
+
+_WEIGHTED_KINDS = ("uniform-ball", "uniform-box", "mixture", "histogram")
+
+
+def _weighted_density(dim: int, kind: str):
+    """Constant-weight (uniform) and varying-weight densities in ``dim``-D."""
+    centre = np.full(dim, 5000.0)
+    box = BoxRegion(Rect.from_center(centre, 240.0))
+    if kind == "uniform-ball":
+        return UniformDensity(BallRegion(centre, 260.0))
+    if kind == "uniform-box":
+        return UniformDensity(box)
+    if kind == "mixture":
+        return MixtureDensity(
+            [UniformDensity(box), ConstrainedGaussianDensity(box, sigma=90.0)],
+            weights=[0.4, 0.6],
+        )
+    return zipf_histogram(box, 6, skew=1.1, seed=dim)
+
+
+@pytest.fixture(scope="module")
+def weighted_clouds():
+    """``{(dim, kind, oid): (drawn, rebound)}``: each cloud as drawn and
+    as a SampleCache serves it after ``rebind_resident``."""
+    keys = [
+        (dim, kind, oid)
+        for dim in (1, 2, 3)
+        for kind in _WEIGHTED_KINDS
+        for oid in range(2)
+    ]
+    densities = {key: _weighted_density(key[0], key[1]) for key in keys}
+    cache = SampleCache(400, SEED)
+    for index, key in enumerate(keys):
+        cache.get(densities[key], index)
+    arena = SharedArena()
+    cache.rebind_resident(arena.share_array)
+    clouds = {
+        key: (
+            draw_samples(densities[key], 400, SEED, index),
+            cache.get(densities[key], index),
+        )
+        for index, key in enumerate(keys)
+    }
+    yield clouds
+    arena.close()
+
+
+@pytest.fixture(scope="module")
+def prewarmed_clouds():
+    """2-D clouds as the process executor's ``share_samples`` prewarm
+    leaves them, with the executor (and its forked workers) live."""
+    objects = [
+        UncertainObject(index, _weighted_density(2, kind))
+        for index, kind in enumerate(_WEIGHTED_KINDS)
+    ]
+    tree = UTree(2, estimator=AppearanceEstimator(n_samples=400, seed=SEED))
+    for obj in objects:
+        tree.insert(obj)
+    from repro.exec import ProcessBatchExecutor
+
+    with ProcessBatchExecutor(tree, workers=2, share_samples=True) as ex:
+        ex.run([ProbRangeQuery(objects[0].mbr, 0.3)])
+        cache = ex.engine.cache
+        yield {
+            obj.oid: (
+                draw_samples(obj.pdf, 400, SEED, obj.oid),
+                cache.get(obj.pdf, obj.oid),
+            )
+            for obj in objects
+        }
+
+
+def _full_weight_share(samples, rect: Rect) -> float:
+    """Eq. 3 over a materialised, contiguous copy of the weight row: the
+    row a cloud stored before constant-weight clouds dropped theirs."""
+    weights = np.array(samples.weights)
+    inside = rect.contains_points(samples.points)
+    return float(weights[inside].sum()) / samples.total
+
+
+class TestConstantWeightClouds:
+    """Uniform clouds keep no weight row; every other cloud keeps its
+    row.  Either way P_app is unchanged."""
+
+    @pytest.mark.parametrize("kind", _WEIGHTED_KINDS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_only_uniform_clouds_drop_the_weight_row(self, dim, kind):
+        samples = draw_samples(_weighted_density(dim, kind), 400, SEED, 0)
+        constant = kind.startswith("uniform")
+        assert samples.constant_weight == constant
+        assert samples.total == float(np.array(samples.weights).sum())
+        if constant:
+            assert samples.weights.strides == (0,)
+            assert not samples.weights.flags.writeable
+            assert not np.shares_memory(samples.weights, samples.columns)
+            assert samples.nbytes == 8 * 400 * dim
+        else:
+            assert samples.nbytes == 8 * 400 * (dim + 1)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reduce_equals_full_weight_sum(self, weighted_clouds, data):
+        key = data.draw(st.sampled_from(sorted(weighted_clouds)))
+        drawn, rebound = weighted_clouds[key]
+        rect = _rect_on_cloud(data.draw, drawn.columns)
+        expected = _full_weight_share(drawn, rect)
+        assert mask_reduce(drawn, rect) == expected
+        assert mask_reduce(rebound, rect) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduce_after_process_prewarm(self, prewarmed_clouds, data):
+        oid = data.draw(st.sampled_from(sorted(prewarmed_clouds)))
+        drawn, shared = prewarmed_clouds[oid]
+        assert shared.constant_weight == drawn.constant_weight
+        rect = _rect_on_cloud(data.draw, drawn.columns)
+        expected = _full_weight_share(drawn, rect)
+        assert mask_reduce(shared, rect) == expected
+
+    @pytest.mark.parametrize("kind", ["uniform-ball", "uniform-box"])
+    def test_reduce_exact_at_benchmark_cloud_size(self, kind):
+        # 10,000 samples, as the benchmark draws, with up to 9,999 inside:
+        # more than NumPy's 8,192-element iterator buffer, so a reduction
+        # that NumPy chunked differently for a zero-stride operand would
+        # show here.  Each rectangle crosses the cloud on one face only,
+        # at the k-th smallest x, so exactly k samples are inside.
+        n = 10_000
+        density = _weighted_density(2, kind)
+        drawn = draw_samples(density, n, SEED, 0)
+        assert drawn.constant_weight
+        xs = np.sort(drawn.columns[0])
+        assert np.unique(xs).size == n
+        rects = []
+        for k in (8_000, 8_191, 8_192, 8_193, 9_999):
+            hi = np.array(drawn.high)
+            hi[0] = xs[k - 1]
+            rect = Rect(np.array(drawn.low), hi)
+            assert np.count_nonzero(rect.contains_points(drawn.points)) == k
+            rects.append(rect)
+        cache = SampleCache(n, SEED)
+        cache.get(density, 0)
+        arena = SharedArena()
+        try:
+            cache.rebind_resident(arena.share_array)
+            rebound = cache.get(density, 0)
+            assert rebound.constant_weight
+            for rect in rects:
+                expected = _full_weight_share(drawn, rect)
+                assert _masked_share(drawn, rect) == expected
+                assert mask_reduce(drawn, rect) == expected
+                assert mask_reduce(rebound, rect) == expected
+        finally:
+            arena.close()
+
+    def test_rebind_shares_only_the_columns(self, zoo):
+        uniform = [obj for obj in zoo if isinstance(obj.pdf, UniformDensity)]
+        assert len(uniform) == 6  # three balls, three boxes
+        cache = SampleCache(10_000, SEED)
+        cache.prewarm((obj.pdf, obj.oid) for obj in uniform)
+        before = {obj.oid: cache.get(obj.pdf, obj.oid) for obj in uniform}
+        arena = SharedArena()
+        try:
+            assert cache.rebind_resident(arena.share_array) == len(uniform)
+            assert arena.arrays_shared == len(uniform)
+            assert arena.bytes_shared == len(uniform) * 8 * 10_000 * 2
+            for obj in uniform:
+                after = cache.get(obj.pdf, obj.oid)
+                assert after.weights is before[obj.oid].weights
+                assert isinstance(_backing(after.columns), mmap.mmap)
+        finally:
+            arena.close()
+
+    def test_resident_bytes_count_columns_of_constant_clouds(self):
+        cache = SampleCache(N_SAMPLES, SEED)
+        expected = 0
+        for oid, (dim, kind) in enumerate(
+            (dim, kind) for dim in (1, 2, 3) for kind in _WEIGHTED_KINDS
+        ):
+            cache.get(_weighted_density(dim, kind), oid)
+            rows = dim if kind.startswith("uniform") else dim + 1
+            expected += 8 * N_SAMPLES * rows
+            assert cache.resident_bytes == expected
+        for oid in range(len(cache)):
+            cache.invalidate(oid)
+        assert cache.resident_bytes == 0

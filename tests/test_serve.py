@@ -18,6 +18,8 @@ bugfix satellite pins.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import socket
 import struct
 import threading
@@ -26,6 +28,7 @@ import time
 import pytest
 
 from repro.api import Database, ExecConfig, NearestSpec, RangeSpec
+from repro.core.stats import QueryStats
 from repro.geometry.rect import Rect
 from repro.serve import (
     BusyError,
@@ -38,6 +41,8 @@ from repro.serve.protocol import (
     recv_frame,
     send_frame,
     spec_doc,
+    stats_doc,
+    stats_from_doc,
 )
 from tests.conftest import make_mixed_objects, make_uniform_ball_object
 
@@ -333,6 +338,24 @@ def _raw_request(address, payload: bytes, max_reply=1 << 20) -> dict | None:
     with socket.create_connection(address, timeout=10.0) as sock:
         sock.sendall(payload)
         return recv_frame(sock, max_bytes=max_reply)
+
+
+class TestStatsDoc:
+    def test_flat_read_equals_asdict(self):
+        # Every field set to its own nonzero value of its declared kind.
+        stats = QueryStats(
+            **{
+                f.name: index + 0.25 if isinstance(f.default, float) else index
+                for index, f in enumerate(dataclasses.fields(QueryStats), start=1)
+            }
+        )
+        expected = dataclasses.asdict(stats)
+        assert all(value != 0 for value in expected.values())
+        doc = stats_doc(stats)
+        assert doc == expected
+        assert list(doc) == list(expected)
+        assert [type(v) for v in doc.values()] == [type(v) for v in expected.values()]
+        assert stats_from_doc(json.loads(json.dumps(doc))) == stats
 
 
 class TestProtocolFaults:
